@@ -10,7 +10,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -24,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .liouvillian import (
+    ShiftInvert,
     SolverConfig,
     SteadyState,
     build_generator,
@@ -244,11 +248,18 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> EstimationReport:
 
     if not tasks & _SOLVE_TASKS:
         if "gap" in tasks:
-            report.gap = liouvillian_spectrum(build_generator(params), k=2).gap
+            report.gap = liouvillian_spectrum(build_generator(params), k=2, config=config).gap
         return report
 
     gen = build_generator(params)
-    steady = solve_steady_state(gen, config)
+    # the centre LU lives only until the gap has reused it
+    factor = ShiftInvert(gen, config.shift)
+    steady = solve_steady_state(gen, config, factor)
+    if "gap" in tasks:
+        report.gap = liouvillian_spectrum(
+            gen, k=2, config=config, factor=factor, steady=steady
+        ).gap
+    del factor
     report.residual = steady.residual
     report.purity = steady.purity
     report.method = steady.method
@@ -298,9 +309,6 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> EstimationReport:
         report.xi2 = squeezing.value
         report.xi2_direction = squeezing.optimal_direction
 
-    if "gap" in tasks:
-        report.gap = liouvillian_spectrum(gen, k=2).gap
-
     return report
 
 
@@ -336,12 +344,44 @@ def _run_point(args: tuple[SweepSpec, float]) -> EstimationReport:
         return report
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _worker_pool(jobs: int):
+    """Process pool whose workers share the cores instead of each taking all.
+
+    A BLAS library reads its thread count once, when numpy is imported,
+    so forked workers would each keep the parent's one-thread-per-core
+    pool. Every thread variable the user left unset is set to
+    max(1, cpu_count // jobs) for spawned workers, which import numpy
+    afresh; user-set values take precedence. When the user set all of
+    them a forked worker already runs with those counts, and fork skips
+    the re-import.
+    """
+    unset = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
+    if not unset:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool
+        return
+    limit = str(max(1, (os.cpu_count() or 1) // jobs))
+    os.environ.update(dict.fromkeys(unset, limit))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
+
+
 def run_sweep(spec: SweepSpec) -> list[EstimationReport]:
     """One report per grid value, in grid order; failures stay per-row."""
     spec.validate()
     jobs = [(spec, value) for value in spec.values]
     if spec.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with _worker_pool(spec.jobs) as pool:
             rows = list(pool.map(_run_point, jobs))
     else:
         rows = [_run_point(job) for job in jobs]

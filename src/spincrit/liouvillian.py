@@ -14,14 +14,16 @@ with .reshape(dim, dim).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 from .errors import (
     ConvergenceError,
@@ -30,6 +32,8 @@ from .errors import (
     ValidationError,
 )
 from .operators import ModelParams, SpinOperatorSet, build_operators, _require_density
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,39 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     gap: float
     method: str
+
+
+class ShiftInvert:
+    """Sparse LU of L - shift*1 for one generator, factorized on first use.
+
+    The steady-state power iteration and the gap's Arnoldi run both apply
+    (L - shift*1)^-1, so passing one object to solve_steady_state and then
+    to liouvillian_spectrum factorizes once. shift defaults to 1e-8*gamma,
+    as in SolverConfig. SuperLU cannot be pickled, so the factor is passed
+    alongside a SteadyState, never stored on it.
+    """
+
+    def __init__(self, gen: LindbladGenerator, shift: float | None = None) -> None:
+        self.gen = gen
+        self.shift = SolverConfig(shift=shift).resolved(gen.params.gamma).shift
+
+    @cached_property
+    def lu(self):
+        eye = sparse.identity(self.gen.dimension**2, dtype=complex, format="csc")
+        try:
+            return splu((self.gen.matrix - self.shift * eye).tocsc())
+        except RuntimeError as exc:
+            raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
+
+
+def _matching_factor(
+    gen: LindbladGenerator, shift: float, factor: ShiftInvert | None
+) -> ShiftInvert:
+    if factor is None:
+        return ShiftInvert(gen, shift)
+    if factor.gen is not gen or factor.shift != shift:
+        raise ValidationError("factor belongs to another generator or shift")
+    return factor
 
 
 def build_generator(params: ModelParams) -> LindbladGenerator:
@@ -233,15 +270,11 @@ def _degeneracy_probe(
             )
 
 
-def _solve_power(gen: LindbladGenerator, cfg: SolverConfig) -> SteadyState:
+def _solve_power(gen: LindbladGenerator, cfg: SolverConfig, factor: ShiftInvert) -> SteadyState:
     mat = gen.matrix
     d = gen.dimension
     gamma = gen.params.gamma
-    eye = sparse.identity(d * d, dtype=complex, format="csc")
-    try:
-        lu = splu((mat - cfg.shift * eye).tocsc())
-    except RuntimeError as exc:
-        raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
+    lu = factor.lu
 
     x = (np.eye(d, dtype=complex) / d).reshape(-1)
     rho = None
@@ -308,15 +341,23 @@ def _solve_evolve(gen: LindbladGenerator, cfg: SolverConfig) -> SteadyState:
     )
 
 
-def solve_steady_state(gen: LindbladGenerator, config: SolverConfig | None = None) -> SteadyState:
+def solve_steady_state(
+    gen: LindbladGenerator,
+    config: SolverConfig | None = None,
+    factor: ShiftInvert | None = None,
+) -> SteadyState:
     """Solve L(rho) = 0 for the unique steady state.
 
     A degenerate kernel (more than one steady state within tolerance)
     raises DegenerateSteadyStateError instead of silently averaging.
+    The power path factorizes through `factor` when one is given, so a
+    caller that keeps it can hand the same LU to liouvillian_spectrum.
+    In 'auto' mode each rejected path is logged with its reason.
     """
     cfg = (config or SolverConfig()).resolved(gen.params.gamma)
+    factor = _matching_factor(gen, cfg.shift, factor)
     if cfg.method == "power":
-        return _solve_power(gen, cfg)
+        return _solve_power(gen, cfg, factor)
     if cfg.method == "null":
         return _solve_dense_null(gen, cfg)
     if cfg.method == "evolve":
@@ -325,49 +366,78 @@ def solve_steady_state(gen: LindbladGenerator, config: SolverConfig | None = Non
         raise ValidationError(f"unknown solver method {cfg.method!r}")
 
     try:
-        return _solve_power(gen, cfg)
+        return _solve_power(gen, cfg, factor)
     except DegenerateSteadyStateError:
         raise
-    except SolverError:
-        pass
+    except SolverError as exc:
+        logger.warning("auto solver rejected the power path: %s", exc)
     if gen.dimension**2 <= cfg.dense_cap:
         try:
             return _solve_dense_null(gen, cfg)
         except DegenerateSteadyStateError:
             raise
-        except SolverError:
-            pass
+        except SolverError as exc:
+            logger.warning("auto solver rejected the null path: %s", exc)
     return _solve_evolve(gen, cfg)
 
 
 def liouvillian_spectrum(
-    gen: LindbladGenerator, k: int = 6, dense_cap: int = 4096
+    gen: LindbladGenerator,
+    k: int = 6,
+    dense_cap: int = 256,
+    *,
+    config: SolverConfig | None = None,
+    factor: ShiftInvert | None = None,
+    steady: SteadyState | None = None,
 ) -> SpectrumReport:
     """Leading-k Liouvillian eigenvalues and the spectral gap.
 
-    Small problems are diagonalized densely; larger ones use a
-    shift-invert Arnoldi run targeting the slowest modes. gap is
-    -Re of the second eigenvalue (the asymptotic decay rate).
+    eigenvalues holds the zero mode, then the k-1 slowest decaying modes
+    by descending real part; gap is -Re of the second (the asymptotic
+    decay rate). Problems with (N+1)^2 <= dense_cap, or too small for
+    ARPACK to return k-1 modes, are diagonalized densely.
+
+    Otherwise ARPACK runs on x -> P (L - shift*1)^-1 P x with
+    P x = x - rho_ss*tr(x), which removes the zero mode (left
+    eigenvector vec(1), right eigenvector rho_ss); each eigenvalue mu
+    maps back to shift + 1/mu. The shift-invert LU comes from `factor`
+    (pass the one given to solve_steady_state to reuse its LU), else it
+    is factorized here. rho_ss is `steady`, else a power iteration on
+    that LU without the degeneracy probe, so a degenerate kernel reports
+    a gap of ~0 instead of raising. config supplies the shift, which
+    `factor` must share, and the seed of ARPACK's start vector.
     """
     if k < 2:
         raise ValidationError("k must be at least 2 to define a gap")
-    dim2 = gen.dimension**2
-    if dim2 <= dense_cap:
+    d = gen.dimension
+    dim2 = d * d
+    if dim2 <= dense_cap or k - 1 >= dim2 - 2:
         vals = scipy.linalg.eigvals(gen.matrix.toarray())
-        method = "dense"
-    else:
-        k_eff = min(k + 4, dim2 - 2)
-        sigma = 1e-4 * gen.params.gamma
-        try:
-            vals = sparse.linalg.eigs(
-                gen.matrix, k=k_eff, sigma=sigma, return_eigenvectors=False
-            )
-        except sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
-        method = "arnoldi"
-    order = np.argsort(-vals.real)
-    vals = vals[order][:k]
-    return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method=method)
+        vals = vals[np.argsort(-vals.real)][:k]
+        return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="dense")
+
+    cfg = (config or SolverConfig()).resolved(gen.params.gamma)
+    factor = _matching_factor(gen, cfg.shift, factor)
+    if steady is None:
+        steady = _solve_power(gen, replace(cfg, check_degeneracy=False), factor)
+    rho = steady.rho.reshape(-1)
+    lu = factor.lu
+
+    def deflate(x: np.ndarray) -> np.ndarray:
+        return x - rho * x[:: d + 1].sum()
+
+    op = LinearOperator(
+        (dim2, dim2), matvec=lambda x: deflate(lu.solve(deflate(x))), dtype=complex
+    )
+    rng = np.random.default_rng(cfg.seed)
+    v0 = deflate(rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2))
+    try:
+        mu = sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)
+    except sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
+    modes = factor.shift + 1.0 / mu
+    vals = np.concatenate(([0j], modes[np.argsort(-modes.real)]))
+    return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="arnoldi")
 
 
 @dataclass(frozen=True)

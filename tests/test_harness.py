@@ -1,9 +1,13 @@
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+
+import spincrit.liouvillian
 
 from spincrit import (
     ModelParams,
@@ -15,7 +19,15 @@ from spincrit import (
     run_sweep,
 )
 from spincrit.cli import cli_main
-from spincrit.harness import csv_columns, render_sweep, resolve_generator
+from spincrit.harness import (
+    KNOWN_TASKS,
+    _BLAS_THREAD_VARS,
+    _worker_pool,
+    compute_report,
+    csv_columns,
+    render_sweep,
+    resolve_generator,
+)
 
 PI8 = math.pi / 8
 
@@ -113,6 +125,42 @@ class TestRunSweep:
         parallel_spec = replace(spec, jobs=2)
         parallel = render_sweep(run_sweep(parallel_spec), parallel_spec, "csv", no_meta=True)
         assert serial == parallel
+
+    def test_pool_workers_share_blas_threads(self, monkeypatch):
+        for name in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        with _worker_pool(2) as pool:
+            seen = dict(zip(_BLAS_THREAD_VARS, pool.map(os.getenv, _BLAS_THREAD_VARS)))
+        limit = str(max(1, os.cpu_count() // 2))
+        assert seen == {
+            "OPENBLAS_NUM_THREADS": limit,
+            "OMP_NUM_THREADS": "3",
+            "MKL_NUM_THREADS": limit,
+        }
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
+
+    def test_one_factorization_per_stencil_point(self, monkeypatch):
+        splu_calls, eigs_kwargs = [], []
+        splu, eigs = spincrit.liouvillian.splu, scipy.sparse.linalg.eigs
+
+        def counting_splu(*args, **kwargs):
+            splu_calls.append(1)
+            return splu(*args, **kwargs)
+
+        def recording_eigs(*args, **kwargs):
+            eigs_kwargs.append(kwargs)
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(spincrit.liouvillian, "splu", counting_splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
+        spec = small_spec(n_spins=20, values=(0.35,), tasks=KNOWN_TASKS)
+        report = compute_report(ModelParams(20, 0.35, 1.0, PI8), spec)
+        assert report.gap > 0 and report.qfi_steady > 0
+        # the centre and the two finite-difference points; the gap reuses the centre
+        assert len(splu_calls) == 3
+        assert len(eigs_kwargs) == 1 and "sigma" not in eigs_kwargs[0]
 
     def test_per_row_failure_recorded(self):
         # second theta value is outside [0, pi/2) and must fail alone

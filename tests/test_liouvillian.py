@@ -1,11 +1,15 @@
+import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spincrit import (
     DegenerateSteadyStateError,
     ModelParams,
+    ShiftInvert,
     SolverConfig,
     SteadyState,
     ValidationError,
@@ -177,6 +181,36 @@ class TestSteadyState:
         with pytest.raises(ValidationError):
             solve_steady_state(gen, SolverConfig(method="bogus"))
 
+    def test_auto_logs_rejected_power_path(self, caplog):
+        gen = build_generator(ModelParams(4, 0.3, 1.0, math.pi / 8))
+        with caplog.at_level(logging.WARNING, logger="spincrit.liouvillian"):
+            steady = solve_steady_state(gen, SolverConfig(max_iter=0))
+        assert steady.method == "null"
+        (record,) = caplog.records
+        assert record.name == "spincrit.liouvillian"
+        assert "power path" in record.getMessage()
+        assert "did not reach residual" in record.getMessage()
+
+    def test_factor_must_match_generator_and_shift(self):
+        gen = build_generator(ModelParams(4, 0.3, 1.0, math.pi / 8))
+        other = build_generator(ModelParams(4, 0.3, 1.0, math.pi / 8))
+        with pytest.raises(ValidationError):
+            solve_steady_state(gen, factor=ShiftInvert(other))
+        with pytest.raises(ValidationError):
+            solve_steady_state(gen, factor=ShiftInvert(gen, 1e-6))
+        with pytest.raises(ValidationError):
+            liouvillian_spectrum(gen, k=2, dense_cap=16, factor=ShiftInvert(other))
+
+    def test_steady_state_pickles_without_lu(self):
+        gen = build_generator(ModelParams(10, 0.3, 1.0, math.pi / 8))
+        factor = ShiftInvert(gen)
+        steady = solve_steady_state(gen, factor=factor)
+        clone = pickle.loads(pickle.dumps(steady))
+        np.testing.assert_array_equal(clone.rho, steady.rho)
+        assert "lu" in vars(factor)
+        with pytest.raises(TypeError):
+            pickle.dumps(factor.lu)
+
 
 class TestSpectrum:
     def test_single_spin_spectrum(self):
@@ -226,6 +260,41 @@ class TestSpectrum:
         gen = build_generator(ModelParams(2, 0.1))
         with pytest.raises(ValidationError):
             liouvillian_spectrum(gen, k=1)
+
+    @pytest.mark.parametrize("n", [8, 20, 30])
+    @pytest.mark.parametrize("theta", [0.0, 0.2, math.pi / 8, 0.6])
+    def test_deflated_gap_matches_dense_oracle(self, n, theta):
+        omega_c = math.cos(2 * theta)
+        for frac in (0.05, 0.5, 0.9, 1.0, 1.1, 1.5, 3.0):
+            gen = build_generator(ModelParams(n, frac * omega_c, 1.0, theta))
+            oracle = -sorted(scipy.linalg.eigvals(gen.matrix.toarray()).real)[-2]
+            report = liouvillian_spectrum(gen, k=2, dense_cap=16)
+            assert report.method == "arnoldi"
+            assert report.gap == pytest.approx(oracle, rel=1e-8), frac
+
+    def test_degenerate_kernel_gap_closes_without_raising(self):
+        # jump operator proportional to Sx: every Sx-diagonal state is steady
+        gen = build_generator(ModelParams(20, 0.0, 1.0, math.pi / 4))
+        report = liouvillian_spectrum(gen, k=2)
+        assert report.method == "arnoldi"
+        assert abs(report.gap) <= 1e-10
+
+    def test_gap_is_deterministic_for_a_seed(self):
+        gen = build_generator(ModelParams(30, 0.35, 1.0, math.pi / 8))
+        cfg = SolverConfig(seed=3)
+        first = liouvillian_spectrum(gen, k=2, config=cfg).gap
+        second = liouvillian_spectrum(gen, k=2, config=cfg).gap
+        assert first == second
+
+    def test_gap_reuses_the_steady_state_factor(self):
+        gen = build_generator(ModelParams(30, 0.35, 1.0, math.pi / 8))
+        factor = ShiftInvert(gen)
+        steady = solve_steady_state(gen, factor=factor)
+        lu = factor.lu
+        shared = liouvillian_spectrum(gen, k=2, factor=factor, steady=steady)
+        assert factor.lu is lu
+        alone = liouvillian_spectrum(gen, k=2)
+        assert shared.gap == pytest.approx(alone.gap, rel=1e-12)
 
 
 class TestEvolve:
