@@ -66,12 +66,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--step", type=float, default=None, help="finite-difference step")
     parser.add_argument("--eig-floor", type=float, default=1e-12, help="population-pair floor")
-    parser.add_argument(
-        "--solver",
-        choices=("auto", "null", "power", "evolve"),
-        default="auto",
-        help="steady-state method",
-    )
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
@@ -190,7 +184,6 @@ def _spec_from_args(args: argparse.Namespace, axis: str, values, tasks: str) -> 
         generator=args.generator,
         step=args.step,
         eig_floor=args.eig_floor,
-        solver=args.solver,
         jobs=args.jobs,
         seed=args.seed,
         out=args.out,
@@ -252,16 +245,16 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         if omega_c <= 0:
             raise ValidationError("--at-critical needs theta < pi/4")
         omega_args = argparse.Namespace(**vars(args))
-        omega_args.omega, omega_args.omega_frac = omega_c, None
+        omega_args.omega, omega_args.omega_frac = None, 1.0
         args = omega_args
     task = "qfi_steady" if "steady" in args.quantity else "qfi_perturbed"
     tasks = task if args.quantity.startswith("qfi") else f"{task},chi2"
     spec = _spec_from_args(args, "n_spins", n_values, tasks)
     rows = run_sweep(spec)
-    failed = [row for row in rows if row.error]
+    failed = [row for row in rows if "error" in row]
     if failed:
-        raise SolverError(f"{len(failed)} scaling points failed: {failed[0].error}")
-    ys = [getattr(row, args.quantity) for row in rows]
+        raise SolverError(f"{len(failed)} scaling points failed: {failed[0]['error']}")
+    ys = [row.get(args.quantity) for row in rows]
     fit = fit_power_law(n_values, ys)
     exps = meanfield.scaling_exponents()
     reference = {
@@ -342,13 +335,13 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         # splice config-file tokens ahead of explicit flags so the
-        # command line wins on conflicts
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                raise ValidationError("--config needs a path")
-            config_tokens = _load_config(argv[idx + 1])
-            argv = argv[:1] + config_tokens + argv[1:]
+        # command line wins on conflicts; a parser of its own reads
+        # --config in every spelling the full parser accepts
+        config_parser = _Parser(add_help=False)
+        config_parser.add_argument("--config")
+        config = config_parser.parse_known_args(argv)[0].config
+        if config is not None:
+            argv = argv[:1] + _load_config(config) + argv[1:]
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .liouvillian import (
     ShiftInvert,
-    SolverConfig,
     SteadyState,
     build_generator,
     evolve,
@@ -36,7 +35,6 @@ from .liouvillian import (
     solve_steady_state,
 )
 from .metrology import (
-    EstimationReport,
     chi_squared,
     default_fd_step,
     error_propagation,
@@ -65,7 +63,8 @@ KNOWN_TASKS = (
     "meanfield",
 )
 
-#: CSV columns contributed by each task, in emission order.
+#: CSV columns contributed by each task, in emission order. A row is a
+#: dict keyed by these names plus n, omega_over_gamma, theta and error.
 TASK_COLUMNS: dict[str, tuple[str, ...]] = {
     "signals": ("sx", "sy", "sz", "var_sy", "var_sz"),
     "bounds": ("eprop_sy", "eprop_sz"),
@@ -105,7 +104,6 @@ class SweepSpec:
     generator: str = "optimal"
     step: float | None = None
     eig_floor: float = 1e-12
-    solver: str = "auto"
     jobs: int = 1
     seed: int = 0
     out: str | None = None
@@ -205,81 +203,77 @@ def resolve_generator(spec_name: str, params: ModelParams) -> tuple[np.ndarray, 
     )
 
 
-def _solver_config(spec: SweepSpec) -> SolverConfig:
-    return SolverConfig(method=spec.solver, seed=spec.seed)
-
-
-def _fill_meanfield(report: EstimationReport, params: ModelParams) -> None:
-    report.mf_m = meanfield.magnetization(params)
-    if report.mf_m == 0.0:
+def _meanfield_columns(params: ModelParams) -> dict:
+    m = meanfield.magnetization(params)
+    if m == 0.0:
         # thermal phase: the order parameter is flat at zero and the
         # expansion gives no variances or bounds
-        report.mf_sz = 0.0
-        return
+        return {"mf_m": m, "mf_sz": 0.0}
     coeffs = meanfield.hp_coefficients(params)
     sig = meanfield.predict_signals(coeffs, params.n_spins)
-    report.mf_sy = sig.sy
-    report.mf_sz = sig.sz
-    report.mf_var_sy = sig.var_sy
-    report.mf_var_sz = sig.var_sz
-    report.mf_bound_omega = meanfield.bound_omega(params, params.n_spins)
-    report.mf_r = meanfield.gaussian_steady_state(coeffs).r
     qfi, chi2 = meanfield.analytic_qfi_chi(params, params.n_spins)
-    report.mf_qfi = qfi
-    report.mf_chi2 = chi2
+    return {
+        "mf_m": m,
+        "mf_sy": sig.sy,
+        "mf_sz": sig.sz,
+        "mf_var_sy": sig.var_sy,
+        "mf_var_sz": sig.var_sz,
+        "mf_bound_omega": meanfield.bound_omega(params, params.n_spins),
+        "mf_r": meanfield.gaussian_steady_state(coeffs).r,
+        "mf_qfi": qfi,
+        "mf_chi2": chi2,
+    }
 
 
-def compute_report(params: ModelParams, spec: SweepSpec) -> EstimationReport:
-    """Evaluate all requested tasks at one parameter point."""
-    report = EstimationReport(
-        n_spins=params.n_spins,
-        omega=params.omega,
-        gamma=params.gamma,
-        theta=params.theta,
-        lambda_name=spec.lambda_name,
-    )
+def _coordinates(n_spins: int, omega: float, gamma: float, theta: float) -> dict:
+    return {"n": n_spins, "omega_over_gamma": omega / gamma, "theta": theta}
+
+
+def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
+    """Evaluate all requested tasks at one parameter point.
+
+    Returns one row: a dict keyed by CSV column name. A column whose
+    task did not run, or produced no value, is absent.
+    """
+    row = _coordinates(params.n_spins, params.omega, params.gamma, params.theta)
     tasks = set(spec.tasks)
     if "chi2" in tasks and not tasks & {"qfi_steady", "qfi_perturbed"}:
         tasks.add("qfi_perturbed")
-    config = _solver_config(spec)
 
     if "meanfield" in tasks:
-        _fill_meanfield(report, params)
+        row.update(_meanfield_columns(params))
 
     if not tasks & _SOLVE_TASKS:
         if "gap" in tasks:
-            report.gap = liouvillian_spectrum(build_generator(params), k=2, config=config).gap
-        return report
+            row["gap"] = liouvillian_spectrum(build_generator(params), k=2, seed=spec.seed).gap
+        return row
 
     gen = build_generator(params)
     # the centre LU lives only until the gap has reused it
-    factor = ShiftInvert(gen, config.shift)
-    steady = solve_steady_state(gen, config, factor)
+    factor = ShiftInvert(gen)
+    steady = solve_steady_state(gen, factor, seed=spec.seed)
     if "gap" in tasks:
-        report.gap = liouvillian_spectrum(
-            gen, k=2, config=config, factor=factor, steady=steady
+        row["gap"] = liouvillian_spectrum(
+            gen, k=2, seed=spec.seed, factor=factor, steady=steady
         ).gap
     del factor
-    report.residual = steady.residual
-    report.purity = steady.purity
-    report.method = steady.method
     ops = gen.ops
     s_len = params.s
     syn = np.asarray(ops.sy) / s_len
     szn = np.asarray(ops.sz) / s_len
 
     if "signals" in tasks:
-        report.sx = expectation(np.asarray(ops.sx) / s_len, steady.rho)
-        report.sy = expectation(syn, steady.rho)
-        report.sz = expectation(szn, steady.rho)
-        report.var_sy = variance(syn, steady.rho)
-        report.var_sz = variance(szn, steady.rho)
+        row["sx"] = expectation(np.asarray(ops.sx) / s_len, steady.rho)
+        row["sy"] = expectation(syn, steady.rho)
+        row["sz"] = expectation(szn, steady.rho)
+        row["var_sy"] = variance(syn, steady.rho)
+        row["var_sz"] = variance(szn, steady.rho)
 
     lam = params.omega if spec.lambda_name == "omega" else params.theta
     step = spec.step if spec.step is not None else default_fd_step(params, spec.lambda_name)
 
     if "bounds" in tasks or "qfi_steady" in tasks:
-        solver = steady_solver(params, spec.lambda_name, config)
+        solver = steady_solver(params, spec.lambda_name, seed=spec.seed)
         cached = {lam: steady}
 
         def solve_at(value: float) -> SteadyState:
@@ -288,28 +282,25 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> EstimationReport:
             return cached[value]
 
         if "bounds" in tasks:
-            report.eprop_sy = error_propagation(syn, solve_at, lam, step)
-            report.eprop_sz = error_propagation(szn, solve_at, lam, step)
+            row["eprop_sy"] = error_propagation(syn, solve_at, lam, step)
+            row["eprop_sz"] = error_propagation(szn, solve_at, lam, step)
         if "qfi_steady" in tasks:
-            report.qfi_steady = qfi_steady(
-                solve_at, lam, step, eig_floor=spec.eig_floor
-            )
-            if "chi2" in tasks and report.qfi_steady > 0:
-                report.chi2_steady = chi_squared(report.qfi_steady, params.n_spins)
+            row["qfi_steady"] = qfi_steady(solve_at, lam, step, eig_floor=spec.eig_floor)
+            if "chi2" in tasks and row["qfi_steady"] > 0:
+                row["chi2_steady"] = chi_squared(row["qfi_steady"], params.n_spins)
 
     if "qfi_perturbed" in tasks:
-        gmat, label = resolve_generator(spec.generator, params)
-        report.generator = label
-        report.qfi_perturbed = qfi_perturbed(steady, gmat, eig_floor=spec.eig_floor)
-        if "chi2" in tasks and report.qfi_perturbed > 0:
-            report.chi2_perturbed = chi_squared(report.qfi_perturbed, params.n_spins)
+        gmat, _ = resolve_generator(spec.generator, params)
+        row["qfi_perturbed"] = qfi_perturbed(steady, gmat, eig_floor=spec.eig_floor)
+        if "chi2" in tasks and row["qfi_perturbed"] > 0:
+            row["chi2_perturbed"] = chi_squared(row["qfi_perturbed"], params.n_spins)
 
     if "xi2" in tasks:
         squeezing = xi_squared(steady, params)
-        report.xi2 = squeezing.value
-        report.xi2_direction = squeezing.optimal_direction
+        row["xi2"] = squeezing.value
+        row["xi2_nx"], row["xi2_ny"], row["xi2_nz"] = squeezing.optimal_direction
 
-    return report
+    return row
 
 
 def _point_params(spec: SweepSpec, value: float) -> ModelParams:
@@ -320,28 +311,20 @@ def _point_params(spec: SweepSpec, value: float) -> ModelParams:
     return ModelParams(spec.n_spins, **kwargs)
 
 
-def _run_point(args: tuple[SweepSpec, float]) -> EstimationReport:
+def _run_point(args: tuple[SweepSpec, float]) -> dict:
     spec, value = args
     try:
         params = _point_params(spec, value)
         return compute_report(params, spec)
     except (SpincritError, ValueError) as exc:
-        params_kw = {
+        point = {
             "n_spins": spec.n_spins,
             "omega": spec.omega,
             "gamma": spec.gamma,
             "theta": spec.theta,
         }
-        params_kw[spec.axis] = int(value) if spec.axis == "n_spins" else float(value)
-        report = EstimationReport(
-            params_kw["n_spins"],
-            params_kw["omega"],
-            params_kw["gamma"],
-            params_kw["theta"],
-            lambda_name=spec.lambda_name,
-        )
-        report.error = f"{type(exc).__name__}: {exc}"
-        return report
+        point[spec.axis] = int(value) if spec.axis == "n_spins" else float(value)
+        return {**_coordinates(**point), "error": f"{type(exc).__name__}: {exc}"}
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -376,8 +359,8 @@ def _worker_pool(jobs: int):
             os.environ.pop(name, None)
 
 
-def run_sweep(spec: SweepSpec) -> list[EstimationReport]:
-    """One report per grid value, in grid order; failures stay per-row."""
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """One row per grid value, in grid order; failures stay per-row."""
     spec.validate()
     jobs = [(spec, value) for value in spec.values]
     if spec.jobs > 1 and len(jobs) > 1:
@@ -385,9 +368,9 @@ def run_sweep(spec: SweepSpec) -> list[EstimationReport]:
             rows = list(pool.map(_run_point, jobs))
     else:
         rows = [_run_point(job) for job in jobs]
-    if rows and all(row.error is not None for row in rows):
+    if rows and all("error" in row for row in rows):
         raise SolverError(
-            f"all {len(rows)} sweep rows failed; first error: {rows[0].error}"
+            f"all {len(rows)} sweep rows failed; first error: {rows[0]['error']}"
         )
     return rows
 
@@ -418,27 +401,7 @@ def csv_columns(tasks: tuple[str, ...]) -> list[str]:
     return cols
 
 
-def _row_values(report: EstimationReport, columns: list[str]) -> list[str]:
-    mapping = {
-        "n": report.n_spins,
-        "omega_over_gamma": report.omega / report.gamma,
-        "theta": report.theta,
-        "xi2_nx": report.xi2_direction[0] if report.xi2_direction else None,
-        "xi2_ny": report.xi2_direction[1] if report.xi2_direction else None,
-        "xi2_nz": report.xi2_direction[2] if report.xi2_direction else None,
-        "mf_var_sy": report.mf_var_sy,
-        "mf_var_sz": report.mf_var_sz,
-    }
-    out = []
-    for col in columns:
-        if col in mapping:
-            out.append(_fmt(mapping[col]))
-        else:
-            out.append(_fmt(getattr(report, col)))
-    return out
-
-
-def write_csv(rows: list[EstimationReport], spec: SweepSpec, stream, no_meta: bool = False) -> None:
+def write_csv(rows: list[dict], spec: SweepSpec, stream, no_meta: bool = False) -> None:
     if not no_meta:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         stream.write(
@@ -448,34 +411,24 @@ def write_csv(rows: list[EstimationReport], spec: SweepSpec, stream, no_meta: bo
     columns = csv_columns(spec.tasks)
     stream.write(",".join(columns) + "\n")
     for row in rows:
-        stream.write(",".join(_row_values(row, columns)) + "\n")
+        stream.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
 
 
-def rows_to_dicts(rows: list[EstimationReport], spec: SweepSpec) -> list[dict]:
+def _json_value(value):
+    # JSON has no infinities or NaN; they go out as the CSV spells them
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
+
+
+def write_json(rows: list[dict], spec: SweepSpec, stream) -> None:
     columns = csv_columns(spec.tasks)
-    dicts = []
-    for row in rows:
-        vals = _row_values(row, columns)
-        record = {}
-        for col, text in zip(columns, vals):
-            if text == "":
-                record[col] = None
-            elif col in ("n",):
-                record[col] = int(text)
-            elif col in ("error",) or text in ("inf", "-inf", "nan"):
-                record[col] = text
-            else:
-                record[col] = float(text)
-        dicts.append(record)
-    return dicts
-
-
-def write_json(rows: list[EstimationReport], spec: SweepSpec, stream) -> None:
-    json.dump(rows_to_dicts(rows, spec), stream, indent=2)
+    records = [{col: _json_value(row.get(col)) for col in columns} for row in rows]
+    json.dump(records, stream, indent=2)
     stream.write("\n")
 
 
-def render_sweep(rows: list[EstimationReport], spec: SweepSpec, fmt: str, no_meta: bool = False) -> str:
+def render_sweep(rows: list[dict], spec: SweepSpec, fmt: str, no_meta: bool = False) -> str:
     buf = io.StringIO()
     if fmt == "csv":
         write_csv(rows, spec, buf, no_meta=no_meta)
@@ -570,16 +523,18 @@ def _check_dark_state(seed: int) -> SelftestCheck:
 def _check_solver_paths(seed: int) -> SelftestCheck:
     params = ModelParams(20, 0.3, 1.0, math.pi / 8)
     gen = build_generator(params)
-    st_power = solve_steady_state(gen, SolverConfig(method="power"))
-    st_null = solve_steady_state(gen, SolverConfig(method="null"))
-    st_evolve = solve_steady_state(gen, SolverConfig(method="evolve"))
-    d_pn = trace_distance(st_power.rho, st_null.rho)
-    d_ne = trace_distance(st_null.rho, st_evolve.rho)
-    ok = d_pn <= 1e-9 and d_ne <= 1e-7
+    steady = solve_steady_state(gen, seed=seed)
+    # references: the dense SVD null vector of L, and relaxation from the
+    # maximally mixed state over ~25 decay times of the gap
+    null = np.linalg.svd(gen.matrix.toarray())[2][-1].conj().reshape(21, 21)
+    null = (null + null.conj().T) / 2
+    relaxed = evolve(gen, np.eye(21, dtype=complex) / 21, 50.0, rtol=1e-11, atol=1e-15)
+    d_null = trace_distance(steady.rho, null / np.trace(null).real)
+    d_evolve = trace_distance(steady.rho, relaxed.final)
     return _check(
         "solver_path_equivalence",
-        ok,
-        f"power-null {d_pn:.2e}, null-evolve {d_ne:.2e}",
+        d_null <= 1e-9 and d_evolve <= 1e-7,
+        f"power-null {d_null:.2e}, power-evolve {d_evolve:.2e}",
     )
 
 

@@ -1,4 +1,4 @@
-"""Lindblad generator, steady-state solvers, spectrum, and time evolution.
+"""Lindblad generator, steady-state solver, spectrum, and time evolution.
 
 The master equation is
 
@@ -14,9 +14,8 @@ with .reshape(dim, dim).
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +32,15 @@ from .errors import (
 )
 from .operators import ModelParams, SpinOperatorSet, build_operators, _require_density
 
-logger = logging.getLogger(__name__)
+#: Shift-invert offset sigma and residual target of the steady solve, in
+#: units of gamma.
+SHIFT = 1e-8
+TOL = 1e-10
+MAX_ITER = 50
+#: A second Liouvillian mode within DEGENERACY_TOL*gamma of zero makes
+#: the steady state count as degenerate.
+DEGENERACY_TOL = 1e-6
+POSITIVITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,42 +63,6 @@ class LindbladGenerator:
         """Action of the generator on a (dim, dim) matrix."""
         d = self.dimension
         return (self.matrix @ rho.reshape(d * d)).reshape(d, d)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Steady-state solver knobs.
-
-    method: 'auto' (shift-invert power iteration, then dense null space,
-    then time evolution), or one of 'power' | 'null' | 'evolve'.
-    shift and tol default to 1e-8*gamma and 1e-10*gamma.
-    degeneracy_tol is in units of gamma: a second Liouvillian mode with
-    |lambda| below it makes the steady state count as degenerate.
-    """
-
-    method: str = "auto"
-    shift: float | None = None
-    tol: float | None = None
-    max_iter: int = 50
-    dense_cap: int = 4096
-    check_degeneracy: bool = True
-    degeneracy_tol: float = 1e-6
-    positivity_tol: float = 1e-9
-    seed: int = 0
-    evolve_chunk: float = 25.0
-    evolve_max_time: float = 4000.0
-    # tight enough that the integrator noise floor sits well below the
-    # 1e-10*gamma residual target
-    evolve_rtol: float = 1e-11
-    evolve_atol: float = 1e-15
-
-    def resolved(self, gamma: float) -> "SolverConfig":
-        upd = {}
-        if self.shift is None:
-            upd["shift"] = 1e-8 * gamma
-        if self.tol is None:
-            upd["tol"] = 1e-10 * gamma
-        return replace(self, **upd) if upd else self
 
 
 @dataclass(frozen=True)
@@ -119,7 +90,7 @@ class SteadyState:
     def from_density(cls, rho: np.ndarray, method: str = "external") -> "SteadyState":
         """Wrap an externally produced density matrix (no residual check)."""
         _require_density(rho)
-        return _finalize(np.asarray(rho, dtype=complex), None, method, 0, SolverConfig())
+        return _finalize(np.asarray(rho, dtype=complex), None, method, 0)
 
 
 @dataclass(frozen=True)
@@ -136,14 +107,14 @@ class ShiftInvert:
 
     The steady-state power iteration and the gap's Arnoldi run both apply
     (L - shift*1)^-1, so passing one object to solve_steady_state and then
-    to liouvillian_spectrum factorizes once. shift defaults to 1e-8*gamma,
-    as in SolverConfig. SuperLU cannot be pickled, so the factor is passed
-    alongside a SteadyState, never stored on it.
+    to liouvillian_spectrum factorizes once. shift is SHIFT*gamma.
+    SuperLU cannot be pickled, so the factor is passed alongside a
+    SteadyState, never stored on it.
     """
 
-    def __init__(self, gen: LindbladGenerator, shift: float | None = None) -> None:
+    def __init__(self, gen: LindbladGenerator) -> None:
         self.gen = gen
-        self.shift = SolverConfig(shift=shift).resolved(gen.params.gamma).shift
+        self.shift = SHIFT * gen.params.gamma
 
     @cached_property
     def lu(self):
@@ -154,13 +125,11 @@ class ShiftInvert:
             raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
 
 
-def _matching_factor(
-    gen: LindbladGenerator, shift: float, factor: ShiftInvert | None
-) -> ShiftInvert:
+def _matching_factor(gen: LindbladGenerator, factor: ShiftInvert | None) -> ShiftInvert:
     if factor is None:
-        return ShiftInvert(gen, shift)
-    if factor.gen is not gen or factor.shift != shift:
-        raise ValidationError("factor belongs to another generator or shift")
+        return ShiftInvert(gen)
+    if factor.gen is not gen:
+        raise ValidationError("factor belongs to another generator")
     return factor
 
 
@@ -191,7 +160,6 @@ def _finalize(
     gen: LindbladGenerator | None,
     method: str,
     iterations: int,
-    cfg: SolverConfig,
 ) -> SteadyState:
     """Hermitize, trace-normalize, clamp the spectrum, and package."""
     rho = (rho_raw + rho_raw.conj().T) / 2
@@ -201,7 +169,7 @@ def _finalize(
     rho = rho / tr
 
     p, v = np.linalg.eigh(rho)
-    if p.min() < -cfg.positivity_tol:
+    if p.min() < -POSITIVITY_TOL:
         raise SolverError(f"steady state has negative eigenvalue {p.min():.2e}")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
@@ -229,7 +197,7 @@ def _degeneracy_probe(
     null_vec: np.ndarray,
     shift: float,
     gamma: float,
-    cfg: SolverConfig,
+    seed: int,
     steps: int = 6,
 ) -> None:
     """Detect a second near-zero mode via deflated shift-invert growth.
@@ -237,8 +205,8 @@ def _degeneracy_probe(
     vec(identity) is the left null vector of any trace-preserving
     generator, so projecting out the zero mode's spectral component
     leaves the decaying modes. If the inverse iteration still amplifies
-    by more than 1/(degeneracy_tol*gamma), a second eigenvalue sits
-    within degeneracy_tol*gamma of zero.
+    by more than 1/(DEGENERACY_TOL*gamma), a second eigenvalue sits
+    within DEGENERACY_TOL*gamma of zero.
     """
     dim2 = matrix.shape[0]
     d = int(round(math.sqrt(dim2)))
@@ -248,9 +216,9 @@ def _degeneracy_probe(
     if abs(overlap) < 1e-12:
         raise SolverError("null vector is traceless; cannot deflate zero mode")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2)
-    threshold = 1.0 / (cfg.degeneracy_tol * gamma)
+    threshold = 1.0 / (DEGENERACY_TOL * gamma)
     for _ in range(steps):
         x = x - v * ((w.conj() @ x) / overlap)
         nrm = np.linalg.norm(x)
@@ -270,15 +238,21 @@ def _degeneracy_probe(
             )
 
 
-def _solve_power(gen: LindbladGenerator, cfg: SolverConfig, factor: ShiftInvert) -> SteadyState:
+def _solve_power(
+    gen: LindbladGenerator,
+    factor: ShiftInvert,
+    seed: int,
+    check_degeneracy: bool = True,
+) -> SteadyState:
     mat = gen.matrix
     d = gen.dimension
     gamma = gen.params.gamma
+    tol = TOL * gamma
     lu = factor.lu
 
     x = (np.eye(d, dtype=complex) / d).reshape(-1)
     rho = None
-    for iteration in range(1, cfg.max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         y = lu.solve(x)
         nrm = np.linalg.norm(y)
         if not np.isfinite(nrm) or nrm == 0.0:
@@ -290,95 +264,37 @@ def _solve_power(gen: LindbladGenerator, cfg: SolverConfig, factor: ShiftInvert)
         if abs(tr) > 1e-12:
             cand = cand / tr
             res = _normalized_residual(mat, cand)
-            if res < cfg.tol:
+            if res < tol:
                 rho = cand
                 break
         x = y
     if rho is None:
         raise ConvergenceError(
-            f"power iteration did not reach residual {cfg.tol:.1e} in {cfg.max_iter} steps"
+            f"power iteration did not reach residual {tol:.1e} in {MAX_ITER} steps"
         )
-    if cfg.check_degeneracy:
-        _degeneracy_probe(mat, lu, y, cfg.shift, gamma, cfg)
-    return _finalize(rho, gen, "power", iteration, cfg)
-
-
-def _solve_dense_null(gen: LindbladGenerator, cfg: SolverConfig) -> SteadyState:
-    d = gen.dimension
-    if d * d > cfg.dense_cap:
-        raise ValidationError(
-            f"dense null-space path needs (N+1)^2 <= {cfg.dense_cap}, got {d * d}"
-        )
-    dense = gen.matrix.toarray()
-    _, svals, vh = np.linalg.svd(dense)
-    null_tol = svals[0] * 1e-10
-    null_dim = int((svals < null_tol).sum())
-    if null_dim == 0:
-        raise ConvergenceError("no singular value below the null-space tolerance")
-    if null_dim > 1:
-        raise DegenerateSteadyStateError(
-            f"null space has dimension {null_dim}; steady state is not unique"
-        )
-    rho = vh[-1].conj().reshape(d, d)
-    return _finalize(rho, gen, "null", 1, cfg)
-
-
-def _solve_evolve(gen: LindbladGenerator, cfg: SolverConfig) -> SteadyState:
-    d = gen.dimension
-    gamma = gen.params.gamma
-    rho = np.eye(d, dtype=complex) / d
-    elapsed = 0.0
-    chunk = cfg.evolve_chunk / gamma
-    while elapsed < cfg.evolve_max_time / gamma:
-        traj = evolve(gen, rho, chunk, rtol=cfg.evolve_rtol, atol=cfg.evolve_atol)
-        rho = traj.states[-1]
-        elapsed += chunk
-        if _normalized_residual(gen.matrix, rho) < cfg.tol:
-            return _finalize(rho, gen, "evolve", int(elapsed / chunk), cfg)
-    raise ConvergenceError(
-        f"time evolution did not reach residual {cfg.tol:.1e} "
-        f"within t = {cfg.evolve_max_time / gamma:.1f}"
-    )
+    if check_degeneracy:
+        _degeneracy_probe(mat, lu, y, factor.shift, gamma, seed)
+    return _finalize(rho, gen, "power", iteration)
 
 
 def solve_steady_state(
     gen: LindbladGenerator,
-    config: SolverConfig | None = None,
     factor: ShiftInvert | None = None,
+    *,
+    seed: int = 0,
 ) -> SteadyState:
     """Solve L(rho) = 0 for the unique steady state.
 
-    A degenerate kernel (more than one steady state within tolerance)
-    raises DegenerateSteadyStateError instead of silently averaging.
-    The power path factorizes through `factor` when one is given, so a
-    caller that keeps it can hand the same LU to liouvillian_spectrum.
-    In 'auto' mode each rejected path is logged with its reason.
+    Shift-invert power iteration on (L - SHIFT*gamma*1) until the
+    residual |L(rho)| drops below TOL*gamma, then a degeneracy probe
+    seeded by `seed`. A degenerate kernel (more than one steady state
+    within tolerance) raises DegenerateSteadyStateError instead of
+    silently averaging; no convergence within MAX_ITER steps raises
+    ConvergenceError. The iteration factorizes through `factor` when one
+    is given, so a caller that keeps it can hand the same LU to
+    liouvillian_spectrum.
     """
-    cfg = (config or SolverConfig()).resolved(gen.params.gamma)
-    factor = _matching_factor(gen, cfg.shift, factor)
-    if cfg.method == "power":
-        return _solve_power(gen, cfg, factor)
-    if cfg.method == "null":
-        return _solve_dense_null(gen, cfg)
-    if cfg.method == "evolve":
-        return _solve_evolve(gen, cfg)
-    if cfg.method != "auto":
-        raise ValidationError(f"unknown solver method {cfg.method!r}")
-
-    try:
-        return _solve_power(gen, cfg, factor)
-    except DegenerateSteadyStateError:
-        raise
-    except SolverError as exc:
-        logger.warning("auto solver rejected the power path: %s", exc)
-    if gen.dimension**2 <= cfg.dense_cap:
-        try:
-            return _solve_dense_null(gen, cfg)
-        except DegenerateSteadyStateError:
-            raise
-        except SolverError as exc:
-            logger.warning("auto solver rejected the null path: %s", exc)
-    return _solve_evolve(gen, cfg)
+    return _solve_power(gen, _matching_factor(gen, factor), seed)
 
 
 def liouvillian_spectrum(
@@ -386,7 +302,7 @@ def liouvillian_spectrum(
     k: int = 6,
     dense_cap: int = 256,
     *,
-    config: SolverConfig | None = None,
+    seed: int = 0,
     factor: ShiftInvert | None = None,
     steady: SteadyState | None = None,
 ) -> SpectrumReport:
@@ -404,8 +320,7 @@ def liouvillian_spectrum(
     (pass the one given to solve_steady_state to reuse its LU), else it
     is factorized here. rho_ss is `steady`, else a power iteration on
     that LU without the degeneracy probe, so a degenerate kernel reports
-    a gap of ~0 instead of raising. config supplies the shift, which
-    `factor` must share, and the seed of ARPACK's start vector.
+    a gap of ~0 instead of raising. `seed` draws ARPACK's start vector.
     """
     if k < 2:
         raise ValidationError("k must be at least 2 to define a gap")
@@ -416,10 +331,9 @@ def liouvillian_spectrum(
         vals = vals[np.argsort(-vals.real)][:k]
         return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="dense")
 
-    cfg = (config or SolverConfig()).resolved(gen.params.gamma)
-    factor = _matching_factor(gen, cfg.shift, factor)
+    factor = _matching_factor(gen, factor)
     if steady is None:
-        steady = _solve_power(gen, replace(cfg, check_degeneracy=False), factor)
+        steady = _solve_power(gen, factor, seed, check_degeneracy=False)
     rho = steady.rho.reshape(-1)
     lu = factor.lu
 
@@ -429,7 +343,7 @@ def liouvillian_spectrum(
     op = LinearOperator(
         (dim2, dim2), matvec=lambda x: deflate(lu.solve(deflate(x))), dtype=complex
     )
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     v0 = deflate(rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2))
     try:
         mu = sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)

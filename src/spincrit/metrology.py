@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import StepSizeWarning, SupportLeakWarning, ValidationError
-from .liouvillian import SolverConfig, SteadyState, build_generator, solve_steady_state
+from .liouvillian import SteadyState, build_generator, solve_steady_state
 from .operators import (
     ModelParams,
     _require_hermitian,
@@ -29,49 +29,6 @@ from .operators import (
 StateSolver = Callable[[float], SteadyState]
 
 DEFAULT_EIG_FLOOR = 1e-12
-
-
-@dataclass
-class EstimationReport:
-    """Per-parameter-point record assembled by the sweep harness."""
-
-    n_spins: int
-    omega: float
-    gamma: float
-    theta: float
-    lambda_name: str = "omega"
-    sx: float | None = None
-    sy: float | None = None
-    sz: float | None = None
-    var_sy: float | None = None
-    var_sz: float | None = None
-    eprop_sy: float | None = None
-    eprop_sz: float | None = None
-    qfi_steady: float | None = None
-    chi2_steady: float | None = None
-    qfi_perturbed: float | None = None
-    chi2_perturbed: float | None = None
-    generator: str | None = None
-    xi2: float | None = None
-    xi2_direction: tuple[float, float, float] | None = None
-    gap: float | None = None
-    mf_m: float | None = None
-    mf_sy: float | None = None
-    mf_sz: float | None = None
-    mf_var_sy: float | None = None
-    mf_var_sz: float | None = None
-    mf_bound_omega: float | None = None
-    mf_r: float | None = None
-    mf_qfi: float | None = None
-    mf_chi2: float | None = None
-    residual: float | None = None
-    purity: float | None = None
-    method: str | None = None
-    error: str | None = None
-
-    @property
-    def lambda_value(self) -> float:
-        return self.omega if self.lambda_name == "omega" else self.theta
 
 
 @dataclass(frozen=True)
@@ -102,15 +59,19 @@ def default_fd_step(params: ModelParams, lambda_name: str) -> float:
 def steady_solver(
     params: ModelParams,
     lambda_name: str = "omega",
-    config: SolverConfig | None = None,
+    *,
+    seed: int = 0,
 ) -> StateSolver:
-    """Map lambda -> steady state, varying omega or theta of `params`."""
+    """Map lambda -> steady state, varying omega or theta of `params`.
+
+    seed reaches each solve's degeneracy probe.
+    """
     if lambda_name not in ("omega", "theta"):
         raise ValidationError(f"lambda_name must be 'omega' or 'theta', got {lambda_name!r}")
 
     def solve_at(value: float) -> SteadyState:
         p = replace(params, **{lambda_name: float(value)})
-        return solve_steady_state(build_generator(p), config)
+        return solve_steady_state(build_generator(p), seed=seed)
 
     return solve_at
 

@@ -1,0 +1,44 @@
+"""Brute-force steady-state references that the solver is tested against.
+
+The dense SVD costs O((N+1)^6) and the relaxation runs RK45 for up to
+t = 4000/gamma, so both are for small N only.
+"""
+
+import numpy as np
+
+from spincrit import evolve
+
+
+def dense_null_space(gen):
+    """Right null vectors of L (one per row), from a dense SVD.
+
+    A singular value counts as zero below 1e-10 times the largest.
+    """
+    _, svals, vh = np.linalg.svd(gen.matrix.toarray())
+    return vh[svals < 1e-10 * svals[0]].conj()
+
+
+def dense_null_steady(gen):
+    """The steady state spanning a one-dimensional dense null space."""
+    null = dense_null_space(gen)
+    assert len(null) == 1, f"null space has dimension {len(null)}"
+    d = gen.dimension
+    rho = null[0].reshape(d, d)
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def evolve_to_steady(gen):
+    """Relax the maximally mixed state until |L(rho)| < 1e-10*gamma.
+
+    Integrates in chunks of 25/gamma up to t = 4000/gamma; the
+    tolerances put the integrator's noise floor below that residual.
+    """
+    gamma = gen.params.gamma
+    d = gen.dimension
+    rho = np.eye(d, dtype=complex) / d
+    for _ in range(160):
+        rho = evolve(gen, rho, 25.0 / gamma, rtol=1e-11, atol=1e-15).final
+        if np.linalg.norm(gen.matrix @ rho.reshape(-1)) < 1e-10 * gamma:
+            return rho
+    raise AssertionError("no residual below 1e-10*gamma by t = 4000/gamma")

@@ -100,16 +100,15 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert len(rows) == 3
         for row in rows[:2]:
-            assert row.error is None
-            assert row.sz is not None and row.mf_sz is not None
-            assert row.sz == pytest.approx(row.mf_sz, abs=0.6)
+            assert "error" not in row
+            assert row["sz"] == pytest.approx(row["mf_sz"], abs=0.6)
         # last point is past the critical coupling: exact columns remain,
         # the expansion only pins the zero order parameter
         thermal = rows[2]
-        assert thermal.error is None
-        assert thermal.sz is not None
-        assert thermal.mf_m == 0.0
-        assert thermal.mf_var_sz is None
+        assert "error" not in thermal
+        assert thermal["sz"] is not None
+        assert thermal["mf_m"] == 0.0
+        assert "mf_var_sz" not in thermal
 
     def test_rows_in_grid_order_and_deterministic(self):
         spec = small_spec(values=(0.05, 0.2, 0.35), tasks=("signals",))
@@ -157,7 +156,7 @@ class TestRunSweep:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
         spec = small_spec(n_spins=20, values=(0.35,), tasks=KNOWN_TASKS)
         report = compute_report(ModelParams(20, 0.35, 1.0, PI8), spec)
-        assert report.gap > 0 and report.qfi_steady > 0
+        assert report["gap"] > 0 and report["qfi_steady"] > 0
         # the centre and the two finite-difference points; the gap reuses the centre
         assert len(splu_calls) == 3
         assert len(eigs_kwargs) == 1 and "sigma" not in eigs_kwargs[0]
@@ -166,9 +165,9 @@ class TestRunSweep:
         # second theta value is outside [0, pi/2) and must fail alone
         spec = small_spec(axis="theta", values=(0.2, 1.6), tasks=("signals",))
         rows = run_sweep(spec)
-        assert rows[0].error is None
-        assert rows[1].error is not None and "theta" in rows[1].error
-        assert rows[1].sz is None
+        assert "error" not in rows[0]
+        assert "theta" in rows[1]["error"]
+        assert "sz" not in rows[1]
 
     def test_all_rows_failed_raises(self):
         spec = small_spec(axis="theta", values=(1.6, 1.65), tasks=("signals",))
@@ -181,24 +180,24 @@ class TestRunSweep:
             tasks=("signals", "bounds", "qfi_steady", "qfi_perturbed", "chi2", "xi2", "gap"),
         )
         row = run_sweep(spec)[0]
-        assert row.error is None
-        assert row.qfi_steady > 0 and row.qfi_perturbed > 0
-        assert row.chi2_steady == pytest.approx(8 / row.qfi_steady)
-        assert row.chi2_perturbed == pytest.approx(8 / row.qfi_perturbed)
-        assert row.xi2 is not None and row.gap > 0
-        assert row.eprop_sy > 0 and row.eprop_sz > 0
-        assert row.generator == "optimal"
+        assert "error" not in row
+        assert row["qfi_steady"] > 0 and row["qfi_perturbed"] > 0
+        assert row["chi2_steady"] == pytest.approx(8 / row["qfi_steady"])
+        assert row["chi2_perturbed"] == pytest.approx(8 / row["qfi_perturbed"])
+        assert row["xi2"] is not None and row["gap"] > 0
+        assert row["eprop_sy"] > 0 and row["eprop_sz"] > 0
+        assert set(row) == set(csv_columns(spec.tasks)) - {"error"}
 
     def test_chi2_task_implies_a_qfi(self):
         spec = small_spec(values=(0.2,), tasks=("chi2",))
         row = run_sweep(spec)[0]
-        assert row.qfi_perturbed is not None
-        assert row.chi2_perturbed is not None
+        assert row["qfi_perturbed"] is not None
+        assert row["chi2_perturbed"] is not None
 
     def test_n_spins_axis(self):
         spec = small_spec(axis="n_spins", values=(4, 8), omega=0.2, tasks=("signals",))
         rows = run_sweep(spec)
-        assert [row.n_spins for row in rows] == [4, 8]
+        assert [row["n"] for row in rows] == [4, 8]
 
 
 class TestOutput:
@@ -229,19 +228,20 @@ class TestOutput:
 
     def test_json_round_trip(self):
         spec = small_spec(values=(0.15, 0.3), tasks=("signals", "meanfield"))
-        payload = json.loads(render_sweep(run_sweep(spec), spec, "json"))
+        rows = run_sweep(spec)
+        payload = json.loads(render_sweep(rows, spec, "json"))
         assert len(payload) == 2
         assert payload[0]["n"] == 8
         assert payload[0]["sz"] == pytest.approx(payload[0]["mf_sz"], abs=0.6)
         assert payload[0]["error"] is None
+        # full precision, which the CSV rounds to 12 significant digits
+        assert payload[1]["sz"] == rows[1]["sz"]
+        csv_row = render_sweep(rows, spec, "csv", no_meta=True).splitlines()[2].split(",")
+        assert f"{payload[1]['sz']:.12g}" == csv_row[list(payload[1]).index("sz")]
 
     def test_json_serializes_infinities_as_strings(self):
-        from spincrit import EstimationReport
-
         spec = small_spec(values=(0.0,), tasks=("bounds",))
-        report = EstimationReport(8, 0.0, 1.0, PI8)
-        report.eprop_sy = 0.5
-        report.eprop_sz = math.inf
+        report = {"n": 8, "omega_over_gamma": 0.0, "theta": PI8, "eprop_sy": 0.5, "eprop_sz": math.inf}
         payload = json.loads(render_sweep([report], spec, "json"))
         assert payload[0]["eprop_sz"] == "inf"
         assert payload[0]["eprop_sy"] == 0.5
@@ -418,6 +418,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+        # the --config=PATH spelling reads the same file
+        code = cli_main(["sweep", f"--config={config}"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        assert [line.split(",")[0] for line in lines[1:]] == ["6", "6"]
 
     def test_scaling_report(self, capsys):
         code = cli_main(
@@ -431,6 +436,17 @@ class TestCli:
         assert payload["n_points"] == 4
         assert len(payload["points"]) == 4
         assert payload["reference_exponents"]["critical_qfi"] == pytest.approx(4 / 3)
+
+    def test_scaling_at_critical_is_independent_of_gamma(self, capsys):
+        outputs = []
+        for gamma in ("1", "2"):
+            code = cli_main(
+                ["scaling", "--n-list", "4,6,8,10", "--at-critical", "--theta", "0.3927",
+                 "--gamma", gamma]
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_scaling_needs_enough_points(self, capsys):
         assert cli_main(["scaling", "--n-list", "6,8", "--at-critical"]) == 1
@@ -467,15 +483,12 @@ class TestCli:
         assert payload[0]["eprop_sz"] > 0
         assert payload[0]["chi2_steady"] == pytest.approx(6 / payload[0]["qfi_steady"])
 
-    def test_solver_flag_paths_agree(self, capsys):
-        outputs = []
-        for method in ("power", "null", "evolve"):
-            code = cli_main(
-                ["steady", "--n", "5", "--omega", "0.25", "--theta", "0.3927",
-                 "--tasks", "signals", "--solver", method, "--no-meta"]
-            )
-            assert code == 0
-            outputs.append(capsys.readouterr().out.splitlines()[1].split(","))
-        for column in (3, 4, 5):
-            values = [float(row[column]) for row in outputs]
-            assert max(values) - min(values) < 1e-6
+    def test_solver_flag_removed(self, tmp_path, capsys):
+        # one steady-state path: --solver, from the command line or a
+        # config file, is an unknown argument
+        argv = ["steady", "--n", "5", "--omega", "0.25", "--tasks", "signals"]
+        assert cli_main(argv + ["--solver", "power"]) == 1
+        config = tmp_path / "run.cfg"
+        config.write_text("solver = power\n")
+        assert cli_main(argv + ["--config", str(config)]) == 1
+        assert "unrecognized arguments: --solver" in capsys.readouterr().err

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import spincrit.liouvillian
+from oracles import dense_null_space, dense_null_steady, evolve_to_steady
 from spincrit import (
+    ConvergenceError,
     DegenerateSteadyStateError,
     ModelParams,
     ShiftInvert,
-    SolverConfig,
     SteadyState,
     ValidationError,
     build_generator,
@@ -137,35 +139,23 @@ class TestSteadyState:
         assert trace_distance(steady.rho, rho_oracle) < 1e-10
 
     def test_power_and_null_paths_agree(self):
-        params = ModelParams(12, 0.3, 1.0, 0.35)
-        gen = build_generator(params)
-        st_power = solve_steady_state(gen, SolverConfig(method="power"))
-        st_null = solve_steady_state(gen, SolverConfig(method="null"))
-        assert trace_distance(st_power.rho, st_null.rho) < 1e-9
-        assert st_power.method == "power" and st_null.method == "null"
+        gen = build_generator(ModelParams(12, 0.3, 1.0, 0.35))
+        steady = solve_steady_state(gen)
+        assert steady.method == "power"
+        assert trace_distance(steady.rho, dense_null_steady(gen)) < 1e-9
 
     def test_evolve_path_agrees(self):
-        params = ModelParams(8, 0.3, 1.0, math.pi / 8)
-        gen = build_generator(params)
-        st_null = solve_steady_state(gen, SolverConfig(method="null"))
-        st_evolve = solve_steady_state(gen, SolverConfig(method="evolve"))
-        assert trace_distance(st_null.rho, st_evolve.rho) < 1e-7
+        gen = build_generator(ModelParams(8, 0.3, 1.0, math.pi / 8))
+        assert trace_distance(solve_steady_state(gen).rho, evolve_to_steady(gen)) < 1e-7
 
     def test_degenerate_kernel_raises(self):
         # theta = pi/4 makes the jump operator proportional to Sx, so
-        # every Sx-diagonal state is steady
+        # every function of Sx is steady: an (N+1)-dimensional kernel
         params = ModelParams(6, 0.4, 1.0, math.pi / 4)
         gen = build_generator(params)
         with pytest.raises(DegenerateSteadyStateError):
-            solve_steady_state(gen, SolverConfig(method="power"))
-        with pytest.raises(DegenerateSteadyStateError):
-            solve_steady_state(gen, SolverConfig(method="null"))
-
-    def test_dense_cap_guard(self):
-        params = ModelParams(12, 0.3, 1.0, 0.35)
-        gen = build_generator(params)
-        with pytest.raises(ValidationError):
-            solve_steady_state(gen, SolverConfig(method="null", dense_cap=100))
+            solve_steady_state(gen)
+        assert len(dense_null_space(gen)) == params.dimension
 
     def test_from_density(self):
         rng = np.random.default_rng(2)
@@ -176,28 +166,22 @@ class TestSteadyState:
         rebuilt = (state.basis * state.populations) @ state.basis.conj().T
         assert trace_distance(rebuilt, rho) < 1e-10
 
-    def test_unknown_method(self):
-        gen = build_generator(ModelParams(2, 0.1))
-        with pytest.raises(ValidationError):
-            solve_steady_state(gen, SolverConfig(method="bogus"))
-
-    def test_auto_logs_rejected_power_path(self, caplog):
+    def test_non_convergence_raises_without_fallback(self, monkeypatch, caplog):
+        monkeypatch.setattr(spincrit.liouvillian, "MAX_ITER", 0)
         gen = build_generator(ModelParams(4, 0.3, 1.0, math.pi / 8))
-        with caplog.at_level(logging.WARNING, logger="spincrit.liouvillian"):
-            steady = solve_steady_state(gen, SolverConfig(max_iter=0))
-        assert steady.method == "null"
-        (record,) = caplog.records
-        assert record.name == "spincrit.liouvillian"
-        assert "power path" in record.getMessage()
-        assert "did not reach residual" in record.getMessage()
+        with caplog.at_level(logging.DEBUG, logger="spincrit"):
+            with pytest.raises(ConvergenceError, match="did not reach residual"):
+                solve_steady_state(gen)
+        assert caplog.records == []
 
     def test_factor_must_match_generator_and_shift(self):
+        # the shift is SHIFT*gamma, so the rescaled twin also has another shift
         gen = build_generator(ModelParams(4, 0.3, 1.0, math.pi / 8))
         other = build_generator(ModelParams(4, 0.3, 1.0, math.pi / 8))
-        with pytest.raises(ValidationError):
-            solve_steady_state(gen, factor=ShiftInvert(other))
-        with pytest.raises(ValidationError):
-            solve_steady_state(gen, factor=ShiftInvert(gen, 1e-6))
+        rescaled = build_generator(ModelParams(4, 0.6, 2.0, math.pi / 8))
+        for factor in (ShiftInvert(other), ShiftInvert(rescaled)):
+            with pytest.raises(ValidationError):
+                solve_steady_state(gen, factor=factor)
         with pytest.raises(ValidationError):
             liouvillian_spectrum(gen, k=2, dense_cap=16, factor=ShiftInvert(other))
 
@@ -281,9 +265,8 @@ class TestSpectrum:
 
     def test_gap_is_deterministic_for_a_seed(self):
         gen = build_generator(ModelParams(30, 0.35, 1.0, math.pi / 8))
-        cfg = SolverConfig(seed=3)
-        first = liouvillian_spectrum(gen, k=2, config=cfg).gap
-        second = liouvillian_spectrum(gen, k=2, config=cfg).gap
+        first = liouvillian_spectrum(gen, k=2, seed=3).gap
+        second = liouvillian_spectrum(gen, k=2, seed=3).gap
         assert first == second
 
     def test_gap_reuses_the_steady_state_factor(self):
