@@ -32,13 +32,9 @@ from .operators import ModelParams
 _FULL_TASKS = "signals,bounds,qfi_steady,qfi_perturbed,chi2,xi2,gap"
 
 
-class _UsageError(ValidationError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
-        raise _UsageError(f"{message}\n{self.format_usage()}")
+        raise ValidationError(f"{message}\n{self.format_usage()}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -344,9 +340,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             argv = argv[:1] + _load_config(config) + argv[1:]
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (ValidationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -27,7 +27,6 @@ from .errors import (
     ValidationError,
 )
 from .liouvillian import (
-    ShiftInvert,
     SteadyState,
     build_generator,
     evolve,
@@ -52,17 +51,6 @@ from .operators import (
     variance,
 )
 
-KNOWN_TASKS = (
-    "signals",
-    "bounds",
-    "qfi_steady",
-    "qfi_perturbed",
-    "chi2",
-    "xi2",
-    "gap",
-    "meanfield",
-)
-
 #: CSV columns contributed by each task, in emission order. A row is a
 #: dict keyed by these names plus n, omega_over_gamma, theta and error.
 TASK_COLUMNS: dict[str, tuple[str, ...]] = {
@@ -85,6 +73,7 @@ TASK_COLUMNS: dict[str, tuple[str, ...]] = {
         "mf_chi2",
     ),
 }
+KNOWN_TASKS = tuple(TASK_COLUMNS)
 
 _SOLVE_TASKS = {"signals", "bounds", "qfi_steady", "qfi_perturbed", "chi2", "xi2"}
 
@@ -128,6 +117,12 @@ class SweepSpec:
             raise ValidationError("jobs must be >= 1")
         if self.lambda_name not in ("omega", "theta"):
             raise ValidationError("lambda must be 'omega' or 'theta'")
+        if self.step is not None and self.step <= 0:
+            raise ValidationError("derivative step must be positive")
+        if self.eig_floor < 0:
+            raise ValidationError("eig_floor must be nonnegative")
+        # parse the generator name once, on a one-spin point
+        resolve_generator(self.generator, ModelParams(1, 0.0))
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def fit_power_law(xs, ys) -> ScalingFit:
     )
 
 
-def resolve_generator(spec_name: str, params: ModelParams) -> tuple[np.ndarray, str]:
+def resolve_generator(spec_name: str, params: ModelParams) -> np.ndarray:
     """Turn a generator name into a Hermitian matrix.
 
     'sz' and 'x' are the bare projections; 'optimal' is the
@@ -182,22 +177,21 @@ def resolve_generator(spec_name: str, params: ModelParams) -> tuple[np.ndarray, 
     ops = build_operators(params)
     name = spec_name.strip().lower()
     if name == "sz":
-        return np.asarray(ops.sz), "sz"
+        return np.asarray(ops.sz)
     if name == "x":
-        return np.asarray(ops.sx), "x"
+        return np.asarray(ops.sx)
     if name == "optimal":
         m = meanfield.magnetization(params)
         direction = np.array([0.0, m, math.sqrt(max(0.0, 1.0 - m * m))])
         direction /= np.linalg.norm(direction)
-        return spin_direction_operator(ops, direction), "optimal"
+        return spin_direction_operator(ops, direction)
     parts = name.split(",")
     if len(parts) == 3:
         vec = np.array([float(p) for p in parts])
         nrm = np.linalg.norm(vec)
         if nrm == 0:
             raise ValidationError("custom generator direction must be nonzero")
-        vec = vec / nrm
-        return spin_direction_operator(ops, vec), f"{vec[0]:g},{vec[1]:g},{vec[2]:g}"
+        return spin_direction_operator(ops, vec / nrm)
     raise ValidationError(
         f"unknown generator {spec_name!r}; use sz | optimal | x | nx,ny,nz"
     )
@@ -249,15 +243,12 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
         return row
 
     gen = build_generator(params)
-    # the centre LU lives only until the gap has reused it
-    factor = ShiftInvert(gen)
-    steady = solve_steady_state(gen, factor, seed=spec.seed)
+    steady = solve_steady_state(gen, seed=spec.seed)
     if "gap" in tasks:
-        row["gap"] = liouvillian_spectrum(
-            gen, k=2, seed=spec.seed, factor=factor, steady=steady
-        ).gap
-    del factor
+        row["gap"] = liouvillian_spectrum(gen, k=2, seed=spec.seed, steady=steady).gap
     ops = gen.ops
+    # free the centre LU (33 MB at N = 100) before the stencil points factorize
+    del gen
     s_len = params.s
     syn = np.asarray(ops.sy) / s_len
     szn = np.asarray(ops.sz) / s_len
@@ -290,7 +281,7 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
                 row["chi2_steady"] = chi_squared(row["qfi_steady"], params.n_spins)
 
     if "qfi_perturbed" in tasks:
-        gmat, _ = resolve_generator(spec.generator, params)
+        gmat = resolve_generator(spec.generator, params)
         row["qfi_perturbed"] = qfi_perturbed(steady, gmat, eig_floor=spec.eig_floor)
         if "chi2" in tasks and row["qfi_perturbed"] > 0:
             row["chi2_perturbed"] = chi_squared(row["qfi_perturbed"], params.n_spins)

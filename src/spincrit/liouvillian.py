@@ -14,7 +14,6 @@ with .reshape(dim, dim).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +63,21 @@ class LindbladGenerator:
         d = self.dimension
         return (self.matrix @ rho.reshape(d * d)).reshape(d, d)
 
+    @cached_property
+    def lu(self):
+        """Sparse LU of L - SHIFT*gamma*1, factorized on first use.
+
+        The steady-state power iteration, its degeneracy probe and the
+        gap's Arnoldi run all apply the inverse through this one factor,
+        which lives as long as the generator. SuperLU cannot be pickled,
+        and neither can a generator once this has run.
+        """
+        eye = sparse.identity(self.dimension**2, dtype=complex, format="csc")
+        try:
+            return splu((self.matrix - SHIFT * self.params.gamma * eye).tocsc())
+        except RuntimeError as exc:
+            raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -87,10 +101,10 @@ class SteadyState:
         return self.rho.shape[0]
 
     @classmethod
-    def from_density(cls, rho: np.ndarray, method: str = "external") -> "SteadyState":
+    def from_density(cls, rho: np.ndarray) -> "SteadyState":
         """Wrap an externally produced density matrix (no residual check)."""
         _require_density(rho)
-        return _finalize(np.asarray(rho, dtype=complex), None, method, 0)
+        return _finalize(np.asarray(rho, dtype=complex), None, "external", 0)
 
 
 @dataclass(frozen=True)
@@ -100,37 +114,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     gap: float
     method: str
-
-
-class ShiftInvert:
-    """Sparse LU of L - shift*1 for one generator, factorized on first use.
-
-    The steady-state power iteration and the gap's Arnoldi run both apply
-    (L - shift*1)^-1, so passing one object to solve_steady_state and then
-    to liouvillian_spectrum factorizes once. shift is SHIFT*gamma.
-    SuperLU cannot be pickled, so the factor is passed alongside a
-    SteadyState, never stored on it.
-    """
-
-    def __init__(self, gen: LindbladGenerator) -> None:
-        self.gen = gen
-        self.shift = SHIFT * gen.params.gamma
-
-    @cached_property
-    def lu(self):
-        eye = sparse.identity(self.gen.dimension**2, dtype=complex, format="csc")
-        try:
-            return splu((self.gen.matrix - self.shift * eye).tocsc())
-        except RuntimeError as exc:
-            raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
-
-
-def _matching_factor(gen: LindbladGenerator, factor: ShiftInvert | None) -> ShiftInvert:
-    if factor is None:
-        return ShiftInvert(gen)
-    if factor.gen is not gen:
-        raise ValidationError("factor belongs to another generator")
-    return factor
 
 
 def build_generator(params: ModelParams) -> LindbladGenerator:
@@ -192,11 +175,8 @@ def _finalize(
 
 
 def _degeneracy_probe(
-    matrix: sparse.csc_matrix,
-    lu,
+    gen: LindbladGenerator,
     null_vec: np.ndarray,
-    shift: float,
-    gamma: float,
     seed: int,
     steps: int = 6,
 ) -> None:
@@ -208,8 +188,8 @@ def _degeneracy_probe(
     by more than 1/(DEGENERACY_TOL*gamma), a second eigenvalue sits
     within DEGENERACY_TOL*gamma of zero.
     """
-    dim2 = matrix.shape[0]
-    d = int(round(math.sqrt(dim2)))
+    d = gen.dimension
+    dim2 = d * d
     w = np.eye(d, dtype=complex).reshape(-1)
     v = null_vec / np.linalg.norm(null_vec)
     overlap = w.conj() @ v
@@ -218,20 +198,20 @@ def _degeneracy_probe(
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2)
-    threshold = 1.0 / (DEGENERACY_TOL * gamma)
+    threshold = 1.0 / (DEGENERACY_TOL * gen.params.gamma)
     for _ in range(steps):
         x = x - v * ((w.conj() @ x) / overlap)
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
             return
-        x = lu.solve(x / nrm)
+        x = gen.lu.solve(x / nrm)
         amp = np.linalg.norm(x)
         if not np.isfinite(amp):
             raise DegenerateSteadyStateError(
                 "inverse iteration diverged on the deflated space"
             )
         if amp > threshold:
-            lam = shift + 1.0 / amp
+            lam = SHIFT * gen.params.gamma + 1.0 / amp
             raise DegenerateSteadyStateError(
                 f"second Liouvillian mode within {lam:.2e} of zero; "
                 "steady state is not unique at this tolerance"
@@ -240,15 +220,13 @@ def _degeneracy_probe(
 
 def _solve_power(
     gen: LindbladGenerator,
-    factor: ShiftInvert,
     seed: int,
     check_degeneracy: bool = True,
 ) -> SteadyState:
     mat = gen.matrix
     d = gen.dimension
-    gamma = gen.params.gamma
-    tol = TOL * gamma
-    lu = factor.lu
+    tol = TOL * gen.params.gamma
+    lu = gen.lu
 
     x = (np.eye(d, dtype=complex) / d).reshape(-1)
     rho = None
@@ -273,16 +251,11 @@ def _solve_power(
             f"power iteration did not reach residual {tol:.1e} in {MAX_ITER} steps"
         )
     if check_degeneracy:
-        _degeneracy_probe(mat, lu, y, factor.shift, gamma, seed)
+        _degeneracy_probe(gen, y, seed)
     return _finalize(rho, gen, "power", iteration)
 
 
-def solve_steady_state(
-    gen: LindbladGenerator,
-    factor: ShiftInvert | None = None,
-    *,
-    seed: int = 0,
-) -> SteadyState:
+def solve_steady_state(gen: LindbladGenerator, *, seed: int = 0) -> SteadyState:
     """Solve L(rho) = 0 for the unique steady state.
 
     Shift-invert power iteration on (L - SHIFT*gamma*1) until the
@@ -290,52 +263,48 @@ def solve_steady_state(
     seeded by `seed`. A degenerate kernel (more than one steady state
     within tolerance) raises DegenerateSteadyStateError instead of
     silently averaging; no convergence within MAX_ITER steps raises
-    ConvergenceError. The iteration factorizes through `factor` when one
-    is given, so a caller that keeps it can hand the same LU to
-    liouvillian_spectrum.
+    ConvergenceError. The iteration factorizes through gen.lu, so
+    liouvillian_spectrum on the same generator reuses that LU.
     """
-    return _solve_power(gen, _matching_factor(gen, factor), seed)
+    return _solve_power(gen, seed)
 
 
 def liouvillian_spectrum(
     gen: LindbladGenerator,
     k: int = 6,
-    dense_cap: int = 256,
     *,
     seed: int = 0,
-    factor: ShiftInvert | None = None,
     steady: SteadyState | None = None,
 ) -> SpectrumReport:
     """Leading-k Liouvillian eigenvalues and the spectral gap.
 
     eigenvalues holds the zero mode, then the k-1 slowest decaying modes
     by descending real part; gap is -Re of the second (the asymptotic
-    decay rate). Problems with (N+1)^2 <= dense_cap, or too small for
-    ARPACK to return k-1 modes, are diagonalized densely.
+    decay rate). Only problems too small for ARPACK to return k-1
+    modes are diagonalized densely.
 
     Otherwise ARPACK runs on x -> P (L - shift*1)^-1 P x with
     P x = x - rho_ss*tr(x), which removes the zero mode (left
     eigenvector vec(1), right eigenvector rho_ss); each eigenvalue mu
-    maps back to shift + 1/mu. The shift-invert LU comes from `factor`
-    (pass the one given to solve_steady_state to reuse its LU), else it
-    is factorized here. rho_ss is `steady`, else a power iteration on
-    that LU without the degeneracy probe, so a degenerate kernel reports
-    a gap of ~0 instead of raising. `seed` draws ARPACK's start vector.
+    maps back to shift + 1/mu. The shift-invert LU is gen.lu, shared
+    with solve_steady_state. rho_ss is `steady`, else a power iteration
+    on that LU without the degeneracy probe, so a degenerate kernel
+    reports a gap of ~0 instead of raising. `seed` draws ARPACK's start
+    vector.
     """
     if k < 2:
         raise ValidationError("k must be at least 2 to define a gap")
     d = gen.dimension
     dim2 = d * d
-    if dim2 <= dense_cap or k - 1 >= dim2 - 2:
+    if k - 1 >= dim2 - 2:
         vals = scipy.linalg.eigvals(gen.matrix.toarray())
         vals = vals[np.argsort(-vals.real)][:k]
         return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="dense")
 
-    factor = _matching_factor(gen, factor)
     if steady is None:
-        steady = _solve_power(gen, factor, seed, check_degeneracy=False)
+        steady = _solve_power(gen, seed, check_degeneracy=False)
     rho = steady.rho.reshape(-1)
-    lu = factor.lu
+    lu = gen.lu
 
     def deflate(x: np.ndarray) -> np.ndarray:
         return x - rho * x[:: d + 1].sum()
@@ -349,7 +318,7 @@ def liouvillian_spectrum(
         mu = sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)
     except sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
-    modes = factor.shift + 1.0 / mu
+    modes = SHIFT * gen.params.gamma + 1.0 / mu
     vals = np.concatenate(([0j], modes[np.argsort(-modes.real)]))
     return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="arnoldi")
 

@@ -90,9 +90,12 @@ class ScalingExponents:
 
 
 def magnetization(params: ModelParams) -> float:
-    """Mean-field magnetization: sqrt(1 - (omega/omega_c)^2), 0 when thermal."""
+    """Mean-field magnetization: sqrt(1 - (omega/omega_c)^2), 0 when thermal.
+
+    e^{i pi Sz} maps omega to -omega, so M depends on |omega| only.
+    """
     oc = params.omega_c
-    if oc <= 0 or params.omega >= oc:
+    if oc <= 0 or abs(params.omega) >= oc:
         return 0.0
     return math.sqrt(1.0 - (params.omega / oc) ** 2)
 

@@ -83,14 +83,14 @@ class SpinOperatorSet:
     s_theta: np.ndarray
 
 
-def build_operators(params: ModelParams, max_spins: int = MAX_SPINS) -> SpinOperatorSet:
+def build_operators(params: ModelParams) -> SpinOperatorSet:
     """Construct the collective operator set for the maximal-spin sector.
 
     Matrix elements follow <S,m+1|S+|S,m> = sqrt(S(S+1) - m(m+1)).
     """
     n = params.n_spins
-    if n > max_spins:
-        raise ValidationError(f"n_spins={n} exceeds the configured maximum {max_spins}")
+    if n > MAX_SPINS:
+        raise ValidationError(f"n_spins={n} exceeds the configured maximum {MAX_SPINS}")
     s = params.s
     m = np.arange(-s, s + 1)
     dim = n + 1

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +163,33 @@ class TestRunSweep:
         assert len(splu_calls) == 3
         assert len(eigs_kwargs) == 1 and "sigma" not in eigs_kwargs[0]
 
+    def test_centre_lu_freed_before_stencil_points(self, monkeypatch):
+        splu = spincrit.liouvillian.splu
+        made, alive_at_call = [], []
+
+        class Factor:  # SuperLU itself takes no weak references
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def tracked_splu(*args, **kwargs):
+            gc.collect()
+            alive_at_call.append(sum(ref() is not None for ref in made))
+            factor = Factor(splu(*args, **kwargs))
+            made.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(spincrit.liouvillian, "splu", tracked_splu)
+        spec = small_spec(n_spins=20, values=(0.35,), tasks=KNOWN_TASKS)
+        compute_report(ModelParams(20, 0.35, 1.0, PI8), spec)
+        assert alive_at_call == [0, 0, 0]
+
+    def test_negative_omega_beyond_critical_is_thermal(self):
+        # omega -> -omega is a symmetry, so M = 0 for omega <= -omega_c too
+        spec = small_spec(n_spins=4, values=(-2.0,), tasks=("signals", "meanfield"))
+        row = run_sweep(spec)[0]
+        assert "error" not in row
+        assert row["mf_m"] == 0.0
+
     def test_per_row_failure_recorded(self):
         # second theta value is outside [0, pi/2) and must fail alone
         spec = small_spec(axis="theta", values=(0.2, 1.6), tasks=("signals",))
@@ -253,10 +282,8 @@ class TestResolveGenerator:
         from spincrit import build_operators
 
         ops = build_operators(params)
-        mat, label = resolve_generator("sz", params)
-        np.testing.assert_allclose(mat, ops.sz)
-        assert label == "sz"
-        mat, _ = resolve_generator("x", params)
+        np.testing.assert_allclose(resolve_generator("sz", params), ops.sz)
+        mat = resolve_generator("x", params)
         np.testing.assert_allclose(mat, ops.sx)
 
     def test_optimal_uses_mean_field_direction(self):
@@ -266,24 +293,23 @@ class TestResolveGenerator:
         ops = build_operators(params)
         m = math.sqrt(1 - 0.25)
         expected = m * ops.sy + math.sqrt(1 - m * m) * ops.sz
-        mat, _ = resolve_generator("optimal", params)
+        mat = resolve_generator("optimal", params)
         np.testing.assert_allclose(mat, expected, atol=1e-12)
 
     def test_optimal_degrades_to_sz_at_critical(self):
         params = ModelParams(4, math.cos(2 * PI8), 1.0, PI8)
         from spincrit import build_operators
 
-        mat, _ = resolve_generator("optimal", params)
+        mat = resolve_generator("optimal", params)
         np.testing.assert_allclose(mat, build_operators(params).sz, atol=1e-12)
 
     def test_custom_direction_normalized(self):
         params = ModelParams(4, 0.2, 1.0, PI8)
-        mat, label = resolve_generator("0,3,4", params)
+        mat = resolve_generator("0,3,4", params)
         from spincrit import build_operators
 
         ops = build_operators(params)
         np.testing.assert_allclose(mat, 0.6 * ops.sy + 0.8 * ops.sz, atol=1e-12)
-        assert label == "0,0.6,0.8"
 
     def test_unknown_generator(self):
         with pytest.raises(ValidationError):
@@ -366,6 +392,22 @@ class TestCli:
         )
         assert code == 1
         assert "output path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--generator", "bogus"], ["--step", "-1"], ["--eig-floor", "-1"]]
+    )
+    def test_bad_input_exits_one_in_every_command(self, capsys, flag):
+        tasks = "bounds,qfi_steady,qfi_perturbed"
+        errors = []
+        for argv in (
+            ["steady", "--n", "4", "--omega", "0.1", "--tasks", tasks],
+            ["sweep", "--n", "4", "--values", "0.1,0.2", "--tasks", tasks],
+            ["scaling", "--n-list", "4,6,8,10"],
+        ):
+            assert cli_main(argv + flag) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: ")
+        assert errors[1] == errors[0] and errors[2] == errors[0]
 
     def test_solver_failure_exits_two(self, capsys):
         # theta = pi/4 has a degenerate kernel, a solver-level failure

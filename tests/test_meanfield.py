@@ -88,6 +88,7 @@ class TestHPCoefficients:
             (0.7071067811865476, PI8),  # exactly at omega_c
             (0.1, math.pi / 4),   # omega_c = 0
             (0.1, 1.2),           # theta > pi/4, omega_c < 0
+            (-0.5, PI8),          # the expansion assumes omega >= 0
         ],
     )
     def test_phase_domain_errors(self, omega, theta):
@@ -97,6 +98,8 @@ class TestHPCoefficients:
     def test_magnetization_helper_thermal_phase(self):
         assert magnetization(ModelParams(10, 0.9, 1.0, PI8)) == 0.0
         assert magnetization(ModelParams(10, 0.2, 1.0, 1.2)) == 0.0
+        # omega -> -omega is a symmetry (e^{i pi Sz}), so -2 is thermal too
+        assert magnetization(ModelParams(10, -2.0, 1.0, PI8)) == 0.0
         assert magnetization(ModelParams(10, 0.5, 1.0, PI8)) == pytest.approx(
             0.7071067811865476, abs=1e-12
         )

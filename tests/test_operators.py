@@ -12,6 +12,7 @@ from spincrit import (
     trace_distance,
     variance,
 )
+from spincrit.operators import MAX_SPINS
 
 
 def dark_state(n):
@@ -110,7 +111,7 @@ class TestBuildOperators:
 
     def test_dimension_guard(self):
         with pytest.raises(ValidationError):
-            build_operators(ModelParams(20, 0.0), max_spins=10)
+            build_operators(ModelParams(MAX_SPINS + 1, 0.0))
 
     def test_operators_are_frozen(self):
         ops = build_operators(ModelParams(3, 0.0))
