@@ -171,8 +171,9 @@ def resolve_generator(spec_name: str, params: ModelParams) -> np.ndarray:
 
     'sz' and 'x' are the bare projections; 'optimal' is the
     mean-field-optimal M*Sy + sqrt(1-M^2)*Sz (which degrades to Sz at
-    the critical coupling where M = 0); 'nx,ny,nz' is a custom
-    direction, normalized here.
+    the critical coupling where M = 0), with -M for omega < 0, where
+    the steady state is the complex conjugate; 'nx,ny,nz' is a custom
+    direction of finite components, normalized here.
     """
     ops = build_operators(params)
     name = spec_name.strip().lower()
@@ -182,22 +183,30 @@ def resolve_generator(spec_name: str, params: ModelParams) -> np.ndarray:
         return np.asarray(ops.sx)
     if name == "optimal":
         m = meanfield.magnetization(params)
+        if params.omega < 0:
+            m = -m
         direction = np.array([0.0, m, math.sqrt(max(0.0, 1.0 - m * m))])
         direction /= np.linalg.norm(direction)
         return spin_direction_operator(ops, direction)
-    parts = name.split(",")
-    if len(parts) == 3:
-        vec = np.array([float(p) for p in parts])
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
-            raise ValidationError("custom generator direction must be nonzero")
-        return spin_direction_operator(ops, vec / nrm)
-    raise ValidationError(
-        f"unknown generator {spec_name!r}; use sz | optimal | x | nx,ny,nz"
-    )
+    try:
+        vec = np.array([float(p) for p in name.split(",")])
+    except ValueError:
+        vec = np.array([])
+    if vec.size != 3 or not np.isfinite(vec).all():
+        raise ValidationError(
+            f"unknown generator {spec_name!r}; use sz | optimal | x | nx,ny,nz"
+        )
+    nrm = math.hypot(*vec)
+    if nrm == 0:
+        raise ValidationError("custom generator direction must be nonzero")
+    return spin_direction_operator(ops, vec / nrm)
 
 
 def _meanfield_columns(params: ModelParams) -> dict:
+    # rho(-omega) = conj rho(omega), so a row at omega < 0 mirrors the
+    # row at |omega| with <Sy> negated
+    sign = -1.0 if params.omega < 0 else 1.0
+    params = replace(params, omega=abs(params.omega))
     m = meanfield.magnetization(params)
     if m == 0.0:
         # thermal phase: the order parameter is flat at zero and the
@@ -208,7 +217,7 @@ def _meanfield_columns(params: ModelParams) -> dict:
     qfi, chi2 = meanfield.analytic_qfi_chi(params, params.n_spins)
     return {
         "mf_m": m,
-        "mf_sy": sig.sy,
+        "mf_sy": sign * sig.sy,
         "mf_sz": sig.sz,
         "mf_var_sy": sig.var_sy,
         "mf_var_sz": sig.var_sz,

@@ -10,12 +10,18 @@ with jump operator St = cos(theta)*S- + sin(theta)*S+ (St' its adjoint).
 Density matrices are vectorized by row stacking (numpy C order), so
 vec(A @ rho @ B) = kron(A, B.T) @ vec(rho) and a matrix is recovered
 with .reshape(dim, dim).
+
+L maps Hermitian matrices to Hermitian matrices, so the solvers work in
+real coordinates on the same (dim, dim) grid: coordinate i*dim + j
+holds Re X_ij for i <= j and Im X_ji for i > j. In them L is a real
+matrix with the same spectrum, and its LU costs about half the complex
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -65,16 +71,19 @@ class LindbladGenerator:
 
     @cached_property
     def lu(self):
-        """Sparse LU of L - SHIFT*gamma*1, factorized on first use.
+        """Sparse LU of R - SHIFT*gamma*1, factorized on first use.
 
-        The steady-state power iteration, its degeneracy probe and the
-        gap's Arnoldi run all apply the inverse through this one factor,
-        which lives as long as the generator. SuperLU cannot be pickled,
-        and neither can a generator once this has run.
+        R is L in real coordinates. The steady-state power iteration,
+        its degeneracy probe and the gap's Arnoldi run all apply the
+        inverse through this one factor, on real vectors, and it lives
+        as long as the generator. SuperLU cannot be pickled, and neither
+        can a generator once this has run.
         """
-        eye = sparse.identity(self.dimension**2, dtype=complex, format="csc")
+        to_vec, to_real = _hermitian_coordinates(self.dimension)
+        real = (to_real @ self.matrix @ to_vec).real
+        eye = sparse.identity(self.dimension**2, format="csc")
         try:
-            return splu((self.matrix - SHIFT * self.params.gamma * eye).tocsc())
+            return splu((real - SHIFT * self.params.gamma * eye).tocsc())
         except RuntimeError as exc:
             raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
 
@@ -114,6 +123,35 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     gap: float
     method: str
+
+
+@lru_cache(maxsize=1)
+def _hermitian_coordinates(d: int) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
+    """B from real coordinates to vec(X), and C from Hermitian vec(X) back.
+
+    C @ B is the identity, and C @ L @ B is real for any L that maps
+    Hermitian matrices to Hermitian matrices. Each has at most two
+    entries per column.
+    """
+    i, j = np.divmod(np.arange(d * d), d)
+    off = i != j
+    k = np.arange(d * d)
+    rows = np.concatenate([k, (j * d + i)[off]])
+    cols = np.concatenate([k, k[off]])
+    vals = np.concatenate([np.where(i <= j, 1, -1j), np.where(i < j, 1, 1j)[off]])
+    to_vec = sparse.csc_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    to_real = (sparse.diags(np.where(off, 0.5, 1.0)) @ to_vec.conj().T).tocsc()
+    return to_vec, to_real
+
+
+def _pack(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hermitian (d, d) matrix."""
+    return (_hermitian_coordinates(rho.shape[0])[1] @ rho.reshape(-1)).real
+
+
+def _unpack(x: np.ndarray, d: int) -> np.ndarray:
+    """Hermitian (d, d) matrix of a real coordinate vector."""
+    return (_hermitian_coordinates(d)[0] @ x).reshape(d, d)
 
 
 def build_generator(params: ModelParams) -> LindbladGenerator:
@@ -182,25 +220,24 @@ def _degeneracy_probe(
 ) -> None:
     """Detect a second near-zero mode via deflated shift-invert growth.
 
-    vec(identity) is the left null vector of any trace-preserving
+    The trace is the left null vector of any trace-preserving
     generator, so projecting out the zero mode's spectral component
     leaves the decaying modes. If the inverse iteration still amplifies
     by more than 1/(DEGENERACY_TOL*gamma), a second eigenvalue sits
-    within DEGENERACY_TOL*gamma of zero.
+    within DEGENERACY_TOL*gamma of zero. null_vec and the iterates are
+    real coordinates, whose trace is the sum of the diagonal ones.
     """
     d = gen.dimension
-    dim2 = d * d
-    w = np.eye(d, dtype=complex).reshape(-1)
     v = null_vec / np.linalg.norm(null_vec)
-    overlap = w.conj() @ v
+    overlap = v[:: d + 1].sum()
     if abs(overlap) < 1e-12:
         raise SolverError("null vector is traceless; cannot deflate zero mode")
 
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2)
+    x = rng.standard_normal(d * d)
     threshold = 1.0 / (DEGENERACY_TOL * gen.params.gamma)
     for _ in range(steps):
-        x = x - v * ((w.conj() @ x) / overlap)
+        x = x - v * (x[:: d + 1].sum() / overlap)
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
             return
@@ -228,7 +265,7 @@ def _solve_power(
     tol = TOL * gen.params.gamma
     lu = gen.lu
 
-    x = (np.eye(d, dtype=complex) / d).reshape(-1)
+    x = _pack(np.eye(d) / d)
     rho = None
     for iteration in range(1, MAX_ITER + 1):
         y = lu.solve(x)
@@ -236,8 +273,7 @@ def _solve_power(
         if not np.isfinite(nrm) or nrm == 0.0:
             raise ConvergenceError("inverse power iteration produced a non-finite vector")
         y = y / nrm
-        cand = y.reshape(d, d)
-        cand = (cand + cand.conj().T) / 2
+        cand = _unpack(y, d)
         tr = np.trace(cand).real
         if abs(tr) > 1e-12:
             cand = cand / tr
@@ -283,11 +319,12 @@ def liouvillian_spectrum(
     decay rate). Only problems too small for ARPACK to return k-1
     modes are diagonalized densely.
 
-    Otherwise ARPACK runs on x -> P (L - shift*1)^-1 P x with
-    P x = x - rho_ss*tr(x), which removes the zero mode (left
-    eigenvector vec(1), right eigenvector rho_ss); each eigenvalue mu
-    maps back to shift + 1/mu. The shift-invert LU is gen.lu, shared
-    with solve_steady_state. rho_ss is `steady`, else a power iteration
+    Otherwise ARPACK runs on real coordinates x ->
+    P (R - shift*1)^-1 P x with P x = x - rho_ss*tr(x), which removes
+    the zero mode (left eigenvector the trace, right eigenvector
+    rho_ss); each eigenvalue mu maps back to shift + 1/mu. The
+    shift-invert LU is gen.lu, shared with solve_steady_state. R has
+    the spectrum of L. rho_ss is `steady`, else a power iteration
     on that LU without the degeneracy probe, so a degenerate kernel
     reports a gap of ~0 instead of raising. `seed` draws ARPACK's start
     vector.
@@ -303,17 +340,17 @@ def liouvillian_spectrum(
 
     if steady is None:
         steady = _solve_power(gen, seed, check_degeneracy=False)
-    rho = steady.rho.reshape(-1)
+    rho = _pack(steady.rho)
     lu = gen.lu
 
     def deflate(x: np.ndarray) -> np.ndarray:
         return x - rho * x[:: d + 1].sum()
 
     op = LinearOperator(
-        (dim2, dim2), matvec=lambda x: deflate(lu.solve(deflate(x))), dtype=complex
+        (dim2, dim2), matvec=lambda x: deflate(lu.solve(deflate(x))), dtype=float
     )
     rng = np.random.default_rng(seed)
-    v0 = deflate(rng.standard_normal(dim2) + 1j * rng.standard_normal(dim2))
+    v0 = deflate(rng.standard_normal(dim2))
     try:
         mu = sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)
     except sparse.linalg.ArpackNoConvergence as exc:

@@ -183,6 +183,19 @@ class TestRunSweep:
         compute_report(ModelParams(20, 0.35, 1.0, PI8), spec)
         assert alive_at_call == [0, 0, 0]
 
+    def test_negative_omega_mirrors_positive_omega(self):
+        # rho(-omega) = conj rho(omega): only <Sy> and the drive flip sign
+        tasks = ("signals", "meanfield", "qfi_perturbed")
+        below, above = run_sweep(small_spec(values=(-0.5, 0.5), tasks=tasks))
+        assert set(below) == set(above) and "error" not in below
+        flipped = {"omega_over_gamma", "sy", "mf_sy"}
+        for col, value in above.items():
+            mirrored = -below[col] if col in flipped else below[col]
+            if col.startswith("mf_"):
+                assert mirrored == value, col
+            else:
+                assert mirrored == pytest.approx(value, rel=1e-12, abs=1e-12), col
+
     def test_negative_omega_beyond_critical_is_thermal(self):
         # omega -> -omega is a symmetry, so M = 0 for omega <= -omega_c too
         spec = small_spec(n_spins=4, values=(-2.0,), tasks=("signals", "meanfield"))
@@ -310,6 +323,8 @@ class TestResolveGenerator:
 
         ops = build_operators(params)
         np.testing.assert_allclose(mat, 0.6 * ops.sy + 0.8 * ops.sz, atol=1e-12)
+        # the norm of huge components must not overflow
+        np.testing.assert_allclose(resolve_generator("0,3e200,4e200", params), mat, atol=1e-12)
 
     def test_unknown_generator(self):
         with pytest.raises(ValidationError):
@@ -408,6 +423,16 @@ class TestCli:
             errors.append(capsys.readouterr().err)
         assert errors[0].startswith("error: ")
         assert errors[1] == errors[0] and errors[2] == errors[0]
+
+    @pytest.mark.parametrize("direction", ["x,y,z", "nan,0,1"])
+    def test_bad_custom_generator_names_the_accepted_forms(self, capsys, direction):
+        for argv in (
+            ["steady", "--n", "4", "--omega", "0.1", "--tasks", "signals"],
+            ["sweep", "--n", "4", "--values", "0.1,0.2", "--tasks", "signals"],
+        ):
+            assert cli_main(argv + ["--generator", direction]) == 1
+            err = capsys.readouterr().err
+            assert f"unknown generator {direction!r}; use sz | optimal | x | nx,ny,nz" in err
 
     def test_solver_failure_exits_two(self, capsys):
         # theta = pi/4 has a degenerate kernel, a solver-level failure

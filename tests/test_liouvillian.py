@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 import spincrit.liouvillian
 from oracles import dense_null_space, dense_null_steady, evolve_to_steady
@@ -93,6 +94,29 @@ class TestGenerator:
     def test_collapse_rate(self):
         gen = build_generator(ModelParams(10, 0.2, 3.0, 0.1))
         assert gen.collapse_rate == pytest.approx(0.3)
+
+
+class TestRealCoordinates:
+    def test_pack_unpack_round_trip(self):
+        x = random_hermitian(np.random.default_rng(4), 7)
+        packed = spincrit.liouvillian._pack(x)
+        assert packed.dtype == np.float64
+        np.testing.assert_array_equal(spincrit.liouvillian._unpack(packed, 7), x)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_real_form_has_the_spectrum_of_l(self, n):
+        gen = build_generator(ModelParams(n, 0.3, 1.0, 0.35))
+        to_vec, to_real = spincrit.liouvillian._hermitian_coordinates(gen.dimension)
+        real_form = (to_real @ gen.matrix @ to_vec).toarray()
+        assert np.abs(real_form.imag).max() == 0.0
+        ours = scipy.linalg.eigvals(real_form.real)
+        dense = scipy.linalg.eigvals(gen.matrix.toarray())
+        rows, cols = scipy.optimize.linear_sum_assignment(np.abs(ours[:, None] - dense[None, :]))
+        assert np.abs(ours[rows] - dense[cols]).max() <= 1e-10
+
+    def test_lu_solves_in_real_arithmetic(self):
+        gen = build_generator(ModelParams(6, 0.3, 1.0, 0.35))
+        assert gen.lu.solve(np.ones(gen.dimension**2)).dtype == np.float64
 
 
 class TestSteadyState:

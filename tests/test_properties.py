@@ -82,3 +82,21 @@ def test_perturbed_qfi_is_bounded_by_generator_variance(params, polar, azimuth):
     gmat = spin_direction_operator(build_operators(params), direction)
     qfi = qfi_perturbed(steady, gmat)
     assert 0.0 <= qfi <= 4 * variance(gmat, steady.rho) * (1 + 1e-9) + 1e-12
+
+
+@deterministic
+@given(points)
+def test_steady_state_has_parity_symmetry(params):
+    # e^{i pi Sz} with omega -> -omega, then conjugation: rho = P rho^T P
+    rho = solve_steady_state(build_generator(params)).rho
+    parity = (-1.0) ** np.arange(params.dimension)
+    mirrored = parity[:, None] * rho.T * parity[None, :]
+    assert np.abs(rho - mirrored).max() <= 1e-12
+
+
+@deterministic
+@given(points)
+def test_negative_drive_conjugates_the_steady_state(params):
+    mirror = ModelParams(params.n_spins, -params.omega, params.gamma, params.theta)
+    rho = solve_steady_state(build_generator(params)).rho
+    assert np.abs(solve_steady_state(build_generator(mirror)).rho - rho.conj()).max() <= 1e-12
