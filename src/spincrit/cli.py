@@ -147,8 +147,8 @@ def _resolve_omega(args: argparse.Namespace) -> float:
 
 def _normalized(args: argparse.Namespace) -> tuple[float, float]:
     """(omega, gamma=1): frequencies are reported in units of gamma."""
-    if args.gamma <= 0:
-        raise ValidationError("gamma must be positive")
+    if not (math.isfinite(args.gamma) and args.gamma > 0):
+        raise ValidationError(f"--gamma must be finite and positive, got {args.gamma!r}")
     omega = _resolve_omega(args)
     if args.omega_frac is None:
         omega = omega / args.gamma
@@ -200,7 +200,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.values is not None:
         values = [float(v) for v in args.values.split(",") if v.strip()]
-    elif args.start is not None and args.stop is not None and args.points:
+    elif args.start is not None and args.stop is not None and args.points is not None:
         if args.points < 1:
             raise ValidationError("--points must be positive")
         if args.points == 1:
@@ -269,7 +269,9 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
     omega, gamma = _normalized(args)
-    params = ModelParams(args.n, omega, gamma, args.theta)
+    # rho(-omega) = conj rho(omega): the values at |omega| with <Sy> negated
+    sign = -1.0 if omega < 0 else 1.0
+    params = ModelParams(args.n, abs(omega), gamma, args.theta)
     coeffs = meanfield.hp_coefficients(params)
     gauss = meanfield.gaussian_steady_state(coeffs)
     signals = meanfield.predict_signals(coeffs, args.n)
@@ -280,15 +282,15 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
         "theta": args.theta,
         "omega_c": params.omega_c,
         "m": coeffs.m,
-        "sy": signals.sy,
+        "sy": sign * signals.sy,
         "sz": signals.sz,
         "var_sy": signals.var_sy,
         "var_sz": signals.var_sz,
         "bound_omega": meanfield.bound_omega(params, args.n),
         "bound_theta": (
-            meanfield.bound_theta(params, args.n) if omega > 0 and args.theta > 0 else None
+            meanfield.bound_theta(params, args.n) if params.omega > 0 and args.theta > 0 else None
         ),
-        "optimal_theta": meanfield.optimal_theta(omega, gamma) if omega > 0 else None,
+        "optimal_theta": meanfield.optimal_theta(params.omega, gamma) if params.omega > 0 else None,
         "r": gauss.r,
         "sigma11": gauss.sigma11,
         "sigma22": gauss.sigma22,

@@ -26,7 +26,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import LinearOperator, splu
 
 from .errors import (
@@ -393,6 +392,8 @@ def evolve(
     if t_final == 0:
         return Trajectory(np.array([0.0]), np.asarray(rho_in, dtype=complex)[None, :, :])
 
+    # imported here, not at module level: it costs every process ~0.1 s
+    from scipy.integrate import solve_ivp
     d = gen.dimension
     mat = gen.matrix
 

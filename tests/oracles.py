@@ -1,10 +1,12 @@
-"""Brute-force steady-state references that the solver is tested against.
+"""Brute-force references that the solver is tested against.
 
 The dense SVD costs O((N+1)^6) and the relaxation runs RK45 for up to
-t = 4000/gamma, so both are for small N only.
+t = 4000/gamma, so both are for small N only. The parity-block spectrum
+is a dense eigvals split in two, for N up to a few tens.
 """
 
 import numpy as np
+import scipy.linalg
 
 from spincrit import evolve
 
@@ -42,3 +44,25 @@ def evolve_to_steady(gen):
         if np.linalg.norm(gen.matrix @ rho.reshape(-1)) < 1e-10 * gamma:
             return rho
     raise AssertionError("no residual below 1e-10*gamma by t = 4000/gamma")
+
+
+def parity_block_spectrum(gen):
+    """All eigenvalues of L, from L on the two eigenspaces of J(X) = P X^T P.
+
+    P = diag((-1)^k). J commutes with L, so the spectrum of L is the union
+    of the spectra of the two blocks. J = +1 holds every e_kk and
+    (E + J(E))/sqrt(2), J = -1 the (E - J(E))/sqrt(2), for the unit
+    matrices E = e_ij, i < j.
+    """
+    d = gen.dimension
+    p = np.diag((-1.0) ** np.arange(d))
+    rows, cols = np.triu_indices(d, k=1)
+    units = np.zeros((len(rows), d, d))
+    units[np.arange(len(rows)), rows, cols] = 1.0
+    pairs = units.reshape(-1, d * d).T / np.sqrt(2)
+    flipped = (p @ units.transpose(0, 2, 1) @ p).reshape(-1, d * d).T / np.sqrt(2)
+    even = np.hstack([np.eye(d * d)[:, :: d + 1], pairs + flipped])
+    odd = pairs - flipped
+    return np.concatenate(
+        [scipy.linalg.eigvals(basis.T @ (gen.matrix @ basis)) for basis in (even, odd)]
+    )

@@ -353,6 +353,21 @@ class TestCli:
         assert "r = 0.534799996" in out
         assert "bound_omega = 0.0923879532" in out
 
+    def test_meanfield_at_negative_omega_mirrors_positive_omega(self, capsys):
+        # rho(-omega) = conj rho(omega): only <Sy> and the drive flip sign
+        payloads = []
+        for omega in ("0.5", "-0.5"):
+            argv = ["meanfield", "--theta", "0.3927", "--omega", omega, "--n", "100",
+                    "--format", "json"]
+            assert cli_main(argv) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        above, below = payloads
+        assert below["omega_over_gamma"] == -0.5 and below["sy"] == -above["sy"] != 0
+        assert below["bound_theta"] is not None and below["optimal_theta"] is not None
+        for key in ("omega_over_gamma", "sy"):
+            del above[key], below[key]
+        assert below == above
+
     def test_steady_dark_state(self, capsys):
         code = cli_main(
             ["steady", "--n", "1", "--omega", "0", "--theta", "0", "--gamma", "1",
@@ -398,6 +413,11 @@ class TestCli:
 
     def test_missing_grid_exits_one(self, capsys):
         assert cli_main(["sweep", "--axis", "omega", "--n", "4"]) == 1
+        assert "sweep needs either" in capsys.readouterr().err
+        for points in ("0", "-2"):
+            argv = ["sweep", "--n", "4", "--start", "0.1", "--stop", "0.3", "--points", points]
+            assert cli_main(argv) == 1
+            assert "--points must be positive" in capsys.readouterr().err
 
     def test_unwritable_output_path_exits_one(self, capsys):
         code = cli_main(
@@ -409,7 +429,14 @@ class TestCli:
         assert "output path" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", [["--generator", "bogus"], ["--step", "-1"], ["--eig-floor", "-1"]]
+        "flag",
+        [
+            ["--generator", "bogus"],
+            ["--step", "-1"],
+            ["--eig-floor", "-1"],
+            ["--gamma", "inf"],
+            ["--gamma", "nan"],
+        ],
     )
     def test_bad_input_exits_one_in_every_command(self, capsys, flag):
         tasks = "bounds,qfi_steady,qfi_perturbed"

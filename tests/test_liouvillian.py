@@ -8,7 +8,12 @@ import scipy.linalg
 import scipy.optimize
 
 import spincrit.liouvillian
-from oracles import dense_null_space, dense_null_steady, evolve_to_steady
+from oracles import (
+    dense_null_space,
+    dense_null_steady,
+    evolve_to_steady,
+    parity_block_spectrum,
+)
 from spincrit import (
     ConvergenceError,
     DegenerateSteadyStateError,
@@ -261,10 +266,19 @@ class TestSpectrum:
         omega_c = math.cos(2 * theta)
         for frac in (0.05, 0.5, 0.9, 1.0, 1.1, 1.5, 3.0):
             gen = build_generator(ModelParams(n, frac * omega_c, 1.0, theta))
-            oracle = -sorted(scipy.linalg.eigvals(gen.matrix.toarray()).real)[-2]
+            oracle = -sorted(parity_block_spectrum(gen).real)[-2]
             report = liouvillian_spectrum(gen, k=2)
             assert report.method == "arnoldi"
             assert report.gap == pytest.approx(oracle, rel=1e-8), frac
+
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_parity_block_oracle_has_the_spectrum_of_l(self, n):
+        gen = build_generator(ModelParams(n, 0.3, 1.0, 0.35))
+        blocks = parity_block_spectrum(gen)
+        dense = scipy.linalg.eigvals(gen.matrix.toarray())
+        rows, cols = scipy.optimize.linear_sum_assignment(np.abs(blocks[:, None] - dense[None, :]))
+        assert len(blocks) == len(dense)
+        assert np.abs(blocks[rows] - dense[cols]).max() <= 1e-10
 
     def test_degenerate_kernel_gap_closes_without_raising(self):
         # jump operator proportional to Sx: every Sx-diagonal state is steady
