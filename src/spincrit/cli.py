@@ -15,11 +15,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import meanfield
 from .errors import SolverError, SpincritError, ValidationError
 from .harness import (
-    ScalingFit,
     SweepSpec,
     compute_report,
     fit_power_law,
@@ -138,10 +138,9 @@ def _resolve_omega(args: argparse.Namespace) -> float:
     if args.omega is not None and args.omega_frac is not None:
         raise ValidationError("--omega and --omega-frac are mutually exclusive")
     if args.omega_frac is not None:
-        omega_c = math.cos(2 * args.theta)  # gamma-normalized units
-        if omega_c <= 0:
+        if args.theta >= math.pi / 4:
             raise ValidationError("--omega-frac needs omega_c > 0 (theta < pi/4)")
-        return args.omega_frac * omega_c
+        return args.omega_frac * math.cos(2 * args.theta)  # gamma-normalized units
     return args.omega if args.omega is not None else 0.0
 
 
@@ -182,8 +181,6 @@ def _spec_from_args(args: argparse.Namespace, axis: str, values, tasks: str) -> 
         eig_floor=args.eig_floor,
         jobs=args.jobs,
         seed=args.seed,
-        out=args.out,
-        fmt=args.format,
     )
 
 
@@ -193,7 +190,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     spec.validate()
     params = ModelParams(args.n, omega, gamma, args.theta)
     report = compute_report(params, spec)
-    _emit(render_sweep([report], spec, spec.fmt, no_meta=args.no_meta), spec.out)
+    _emit(render_sweep([report], spec, args.format, no_meta=args.no_meta), args.out)
     return 0
 
 
@@ -210,26 +207,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             values = [args.start + i * width for i in range(args.points)]
     else:
         raise ValidationError("sweep needs either --values or --start/--stop/--points")
-    if args.axis == "n_spins":
-        values = [int(v) for v in values]
     spec = _spec_from_args(args, args.axis, values, args.tasks)
     rows = run_sweep(spec)
-    _emit(render_sweep(rows, spec, spec.fmt, no_meta=args.no_meta), spec.out)
+    _emit(render_sweep(rows, spec, args.format, no_meta=args.no_meta), args.out)
     return 0
-
-
-def _fit_report(fit: ScalingFit, quantity: str, reference: dict) -> dict:
-    return {
-        "quantity": quantity,
-        "exponent": fit.exponent,
-        "prefactor": fit.prefactor,
-        "exponent_stderr": fit.exponent_stderr,
-        "prefactor_stderr": fit.prefactor_stderr,
-        "r_squared": fit.r_squared,
-        "n_points": fit.n_points,
-        "window": list(fit.window),
-        "reference_exponents": reference,
-    }
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
@@ -237,12 +218,9 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     if len(n_values) < 4:
         raise ValidationError("scaling needs at least 4 N values")
     if args.at_critical:
-        omega_c = math.cos(2 * args.theta)
-        if omega_c <= 0:
+        if args.theta >= math.pi / 4:
             raise ValidationError("--at-critical needs theta < pi/4")
-        omega_args = argparse.Namespace(**vars(args))
-        omega_args.omega, omega_args.omega_frac = None, 1.0
-        args = omega_args
+        args.omega, args.omega_frac = None, 1.0
     task = "qfi_steady" if "steady" in args.quantity else "qfi_perturbed"
     tasks = task if args.quantity.startswith("qfi") else f"{task},chi2"
     spec = _spec_from_args(args, "n_spins", n_values, tasks)
@@ -259,7 +237,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         "critical_chi": exps.critical_chi,
         "off_critical_bound": exps.off_critical_bound,
     }
-    payload = _fit_report(fit, args.quantity, reference)
+    payload = {"quantity": args.quantity, **asdict(fit), "reference_exponents": reference}
     payload["points"] = [
         {"n": int(n), args.quantity: float(y)} for n, y in zip(n_values, ys)
     ]

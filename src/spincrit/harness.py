@@ -7,7 +7,6 @@ deterministic for a fixed spec regardless of the worker count.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import multiprocessing
@@ -95,12 +94,8 @@ class SweepSpec:
     eig_floor: float = 1e-12
     jobs: int = 1
     seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
 
     def validate(self) -> None:
-        if self.fmt not in ("csv", "json"):
-            raise ValidationError(f"unknown output format {self.fmt!r}")
         if self.axis not in ("omega", "theta", "n_spins"):
             raise ValidationError(f"unknown sweep axis {self.axis!r}")
         if not self.tasks:
@@ -110,6 +105,8 @@ class SweepSpec:
             raise ValidationError(f"unknown tasks {unknown}; known: {list(KNOWN_TASKS)}")
         if len(self.values) == 0:
             raise ValidationError("sweep needs at least one grid value")
+        if self.axis == "n_spins" and not all(float(v).is_integer() for v in self.values):
+            raise ValidationError(f"n_spins axis needs integer values, got {list(self.values)}")
         diffs = np.diff(self.values)
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValidationError("swept values must be strictly monotone")
@@ -117,10 +114,14 @@ class SweepSpec:
             raise ValidationError("jobs must be >= 1")
         if self.lambda_name not in ("omega", "theta"):
             raise ValidationError("lambda must be 'omega' or 'theta'")
-        if self.step is not None and self.step <= 0:
-            raise ValidationError("derivative step must be positive")
-        if self.eig_floor < 0:
-            raise ValidationError("eig_floor must be nonnegative")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValidationError(
+                f"derivative step must be finite and positive, got {self.step!r}"
+            )
+        if not (math.isfinite(self.eig_floor) and self.eig_floor >= 0):
+            raise ValidationError(
+                f"eig_floor must be finite and nonnegative, got {self.eig_floor!r}"
+            )
         # parse the generator name once, on a one-spin point
         resolve_generator(self.generator, ModelParams(1, 0.0))
 
@@ -254,7 +255,7 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
     gen = build_generator(params)
     steady = solve_steady_state(gen, seed=spec.seed)
     if "gap" in tasks:
-        row["gap"] = liouvillian_spectrum(gen, k=2, seed=spec.seed, steady=steady).gap
+        row["gap"] = liouvillian_spectrum(gen, k=2, seed=spec.seed).gap
     ops = gen.ops
     # free the centre LU (33 MB at N = 100) before the stencil points factorize
     del gen
@@ -401,19 +402,6 @@ def csv_columns(tasks: tuple[str, ...]) -> list[str]:
     return cols
 
 
-def write_csv(rows: list[dict], spec: SweepSpec, stream, no_meta: bool = False) -> None:
-    if not no_meta:
-        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        stream.write(
-            f"# spincrit sweep generated={stamp} axis={spec.axis} "
-            f"tasks={','.join(spec.tasks)} seed={spec.seed}\n"
-        )
-    columns = csv_columns(spec.tasks)
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
-
-
 def _json_value(value):
     # JSON has no infinities or NaN; they go out as the CSV spells them
     if isinstance(value, float) and not math.isfinite(value):
@@ -421,22 +409,24 @@ def _json_value(value):
     return value
 
 
-def write_json(rows: list[dict], spec: SweepSpec, stream) -> None:
-    columns = csv_columns(spec.tasks)
-    records = [{col: _json_value(row.get(col)) for col in columns} for row in rows]
-    json.dump(records, stream, indent=2)
-    stream.write("\n")
-
-
 def render_sweep(rows: list[dict], spec: SweepSpec, fmt: str, no_meta: bool = False) -> str:
-    buf = io.StringIO()
-    if fmt == "csv":
-        write_csv(rows, spec, buf, no_meta=no_meta)
-    elif fmt == "json":
-        write_json(rows, spec, buf)
-    else:
+    """Rows as CSV text (after a meta line unless no_meta) or as JSON."""
+    columns = csv_columns(spec.tasks)
+    if fmt == "json":
+        records = [{col: _json_value(row.get(col)) for col in columns} for row in rows]
+        return json.dumps(records, indent=2) + "\n"
+    if fmt != "csv":
         raise ValidationError(f"unknown output format {fmt!r}")
-    return buf.getvalue()
+    lines = []
+    if not no_meta:
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        lines.append(
+            f"# spincrit sweep generated={stamp} axis={spec.axis} "
+            f"tasks={','.join(spec.tasks)} seed={spec.seed}"
+        )
+    lines.append(",".join(columns))
+    lines += [",".join(_fmt(row.get(col)) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

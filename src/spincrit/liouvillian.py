@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -85,6 +86,16 @@ class LindbladGenerator:
             return splu((real - SHIFT * self.params.gamma * eye).tocsc())
         except RuntimeError as exc:
             raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
+
+    @cached_property
+    def null_state(self) -> SteadyState:
+        """rho_ss from the power iteration on lu, without the degeneracy probe.
+
+        solve_steady_state probes and returns this object, and
+        liouvillian_spectrum deflates with it, so both share one
+        iteration. It holds no reference to the generator.
+        """
+        return _solve_power(self)
 
 
 @dataclass(frozen=True)
@@ -211,36 +222,42 @@ def _finalize(
     )
 
 
-def _degeneracy_probe(
-    gen: LindbladGenerator,
-    null_vec: np.ndarray,
-    seed: int,
-    steps: int = 6,
-) -> None:
-    """Detect a second near-zero mode via deflated shift-invert growth.
+def _deflated_inverse(
+    gen: LindbladGenerator, seed: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """x -> P (R - SHIFT*gamma*1)^-1 P x, and a start vector P z.
 
-    The trace is the left null vector of any trace-preserving
-    generator, so projecting out the zero mode's spectral component
-    leaves the decaying modes. If the inverse iteration still amplifies
-    by more than 1/(DEGENERACY_TOL*gamma), a second eigenvalue sits
-    within DEGENERACY_TOL*gamma of zero. null_vec and the iterates are
-    real coordinates, whose trace is the sum of the diagonal ones.
+    P x = x - rho_ss*tr(x) removes the zero mode: its left eigenvector
+    is the trace, its right one rho_ss = gen.null_state. z is drawn
+    from rng(seed). All vectors are real coordinates, whose trace is
+    the sum of the diagonal ones.
     """
     d = gen.dimension
-    v = null_vec / np.linalg.norm(null_vec)
-    overlap = v[:: d + 1].sum()
-    if abs(overlap) < 1e-12:
-        raise SolverError("null vector is traceless; cannot deflate zero mode")
+    rho = _pack(gen.null_state.rho)
+    lu = gen.lu
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(d * d)
+    def deflate(x: np.ndarray) -> np.ndarray:
+        return x - rho * x[:: d + 1].sum()
+
+    start = deflate(np.random.default_rng(seed).standard_normal(d * d))
+    return (lambda x: deflate(lu.solve(deflate(x)))), start
+
+
+def _degeneracy_probe(gen: LindbladGenerator, seed: int, steps: int = 6) -> None:
+    """Detect a second near-zero mode via deflated shift-invert growth.
+
+    With the zero mode deflated only the decaying modes remain. If the
+    inverse iteration still amplifies by more than
+    1/(DEGENERACY_TOL*gamma), a second eigenvalue sits within
+    DEGENERACY_TOL*gamma of zero.
+    """
+    apply, x = _deflated_inverse(gen, seed)
     threshold = 1.0 / (DEGENERACY_TOL * gen.params.gamma)
     for _ in range(steps):
-        x = x - v * (x[:: d + 1].sum() / overlap)
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
             return
-        x = gen.lu.solve(x / nrm)
+        x = apply(x / nrm)
         amp = np.linalg.norm(x)
         if not np.isfinite(amp):
             raise DegenerateSteadyStateError(
@@ -254,11 +271,7 @@ def _degeneracy_probe(
             )
 
 
-def _solve_power(
-    gen: LindbladGenerator,
-    seed: int,
-    check_degeneracy: bool = True,
-) -> SteadyState:
+def _solve_power(gen: LindbladGenerator) -> SteadyState:
     mat = gen.matrix
     d = gen.dimension
     tol = TOL * gen.params.gamma
@@ -285,8 +298,6 @@ def _solve_power(
         raise ConvergenceError(
             f"power iteration did not reach residual {tol:.1e} in {MAX_ITER} steps"
         )
-    if check_degeneracy:
-        _degeneracy_probe(gen, y, seed)
     return _finalize(rho, gen, "power", iteration)
 
 
@@ -298,19 +309,15 @@ def solve_steady_state(gen: LindbladGenerator, *, seed: int = 0) -> SteadyState:
     seeded by `seed`. A degenerate kernel (more than one steady state
     within tolerance) raises DegenerateSteadyStateError instead of
     silently averaging; no convergence within MAX_ITER steps raises
-    ConvergenceError. The iteration factorizes through gen.lu, so
-    liouvillian_spectrum on the same generator reuses that LU.
+    ConvergenceError. The state is gen.null_state, so the iteration
+    runs once per generator, and liouvillian_spectrum on the same
+    generator reuses it and its LU.
     """
-    return _solve_power(gen, seed)
+    _degeneracy_probe(gen, seed)
+    return gen.null_state
 
 
-def liouvillian_spectrum(
-    gen: LindbladGenerator,
-    k: int = 6,
-    *,
-    seed: int = 0,
-    steady: SteadyState | None = None,
-) -> SpectrumReport:
+def liouvillian_spectrum(gen: LindbladGenerator, k: int = 6, *, seed: int = 0) -> SpectrumReport:
     """Leading-k Liouvillian eigenvalues and the spectral gap.
 
     eigenvalues holds the zero mode, then the k-1 slowest decaying modes
@@ -318,38 +325,22 @@ def liouvillian_spectrum(
     decay rate). Only problems too small for ARPACK to return k-1
     modes are diagonalized densely.
 
-    Otherwise ARPACK runs on real coordinates x ->
-    P (R - shift*1)^-1 P x with P x = x - rho_ss*tr(x), which removes
-    the zero mode (left eigenvector the trace, right eigenvector
-    rho_ss); each eigenvalue mu maps back to shift + 1/mu. The
-    shift-invert LU is gen.lu, shared with solve_steady_state. R has
-    the spectrum of L. rho_ss is `steady`, else a power iteration
-    on that LU without the degeneracy probe, so a degenerate kernel
-    reports a gap of ~0 instead of raising. `seed` draws ARPACK's start
-    vector.
+    Otherwise ARPACK runs on the deflated shift-invert operator of the
+    degeneracy probe, through gen.lu and gen.null_state (R has the
+    spectrum of L); each eigenvalue mu maps back to shift + 1/mu.
+    null_state skips the probe, so a degenerate kernel reports a gap
+    of ~0 instead of raising. `seed` draws ARPACK's start vector.
     """
     if k < 2:
         raise ValidationError("k must be at least 2 to define a gap")
-    d = gen.dimension
-    dim2 = d * d
+    dim2 = gen.dimension**2
     if k - 1 >= dim2 - 2:
         vals = scipy.linalg.eigvals(gen.matrix.toarray())
         vals = vals[np.argsort(-vals.real)][:k]
         return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="dense")
 
-    if steady is None:
-        steady = _solve_power(gen, seed, check_degeneracy=False)
-    rho = _pack(steady.rho)
-    lu = gen.lu
-
-    def deflate(x: np.ndarray) -> np.ndarray:
-        return x - rho * x[:: d + 1].sum()
-
-    op = LinearOperator(
-        (dim2, dim2), matvec=lambda x: deflate(lu.solve(deflate(x))), dtype=float
-    )
-    rng = np.random.default_rng(seed)
-    v0 = deflate(rng.standard_normal(dim2))
+    apply, v0 = _deflated_inverse(gen, seed)
+    op = LinearOperator((dim2, dim2), matvec=apply, dtype=float)
     try:
         mu = sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)
     except sparse.linalg.ArpackNoConvergence as exc:
@@ -379,7 +370,6 @@ def evolve(
     t_eval: np.ndarray | None = None,
     rtol: float = 1e-8,
     atol: float = 1e-12,
-    max_step: float = np.inf,
 ) -> Trajectory:
     """Integrate d(vec rho)/dt = L vec(rho) with adaptive RK45.
 
@@ -408,7 +398,6 @@ def evolve(
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
     )
     if not sol.success:
         raise SolverError(f"time integration failed: {sol.message}")

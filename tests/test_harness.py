@@ -89,8 +89,6 @@ class TestSweepValidation:
             run_sweep(small_spec(axis="phi"))
 
     def test_unknown_format(self):
-        with pytest.raises(ValidationError):
-            run_sweep(small_spec(fmt="xml"))
         spec = small_spec(values=(0.2,))
         with pytest.raises(ValidationError):
             render_sweep(run_sweep(spec), spec, "xml")
@@ -436,6 +434,10 @@ class TestCli:
             ["--eig-floor", "-1"],
             ["--gamma", "inf"],
             ["--gamma", "nan"],
+            ["--step", "nan"],
+            ["--step", "inf"],
+            ["--eig-floor", "nan"],
+            ["--eig-floor", "inf"],
         ],
     )
     def test_bad_input_exits_one_in_every_command(self, capsys, flag):
@@ -541,6 +543,26 @@ class TestCli:
             assert code == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_n_spins_axis_rejects_non_integer_values(self, capsys):
+        base = ["sweep", "--axis", "n_spins", "--omega", "0.2", "--theta", "0.3927", "--no-meta"]
+        for grid in (["--values", "4.7,6.2"], ["--start", "10", "--stop", "20", "--points", "4"]):
+            assert cli_main(base + grid) == 1
+            assert "n_spins axis needs integer values" in capsys.readouterr().err
+        for grid, ns in (
+            (["--values", "4,8"], ["4", "8"]),
+            (["--start", "10", "--stop", "40", "--points", "4"], ["10", "20", "30", "40"]),
+        ):
+            assert cli_main(base + grid) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == ns
+
+    def test_theta_at_pi_over_4_has_no_critical_coupling(self, capsys):
+        theta = ["--theta", repr(math.pi / 4)]
+        assert cli_main(["steady", "--n", "6", "--omega-frac", "0.5", *theta]) == 1
+        assert "theta < pi/4" in capsys.readouterr().err
+        assert cli_main(["scaling", "--n-list", "4,6,8,10", "--at-critical", *theta]) == 1
+        assert "theta < pi/4" in capsys.readouterr().err
 
     def test_scaling_needs_enough_points(self, capsys):
         assert cli_main(["scaling", "--n-list", "6,8", "--at-critical"]) == 1

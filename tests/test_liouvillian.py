@@ -185,6 +185,30 @@ class TestSteadyState:
             solve_steady_state(gen)
         assert len(dense_null_space(gen)) == params.dimension
 
+    def test_probe_threshold_brackets_a_closing_gap(self):
+        # near theta = pi/4 the gap closes: 6.5e-7 gamma lies inside
+        # DEGENERACY_TOL, 6.5e-5 gamma outside it
+        with pytest.raises(DegenerateSteadyStateError):
+            solve_steady_state(build_generator(ModelParams(50, 0.3, 1.0, math.pi / 4 - 1e-3)))
+        steady = solve_steady_state(build_generator(ModelParams(50, 0.3, 1.0, math.pi / 4 - 1e-2)))
+        assert steady.residual <= 1e-9
+
+    def test_one_power_iteration_per_generator(self, monkeypatch):
+        calls = []
+        solve_power = spincrit.liouvillian._solve_power
+
+        def counted(gen):
+            calls.append(gen)
+            return solve_power(gen)
+
+        monkeypatch.setattr(spincrit.liouvillian, "_solve_power", counted)
+        gen = build_generator(ModelParams(12, 0.3, 1.0, math.pi / 8))
+        first = solve_steady_state(gen)
+        second = solve_steady_state(gen, seed=1)
+        liouvillian_spectrum(gen, k=2)
+        assert len(calls) == 1
+        assert first is second is gen.null_state
+
     def test_from_density(self):
         rng = np.random.default_rng(2)
         rho = random_density(rng, 5)
@@ -298,8 +322,9 @@ class TestSpectrum:
         gen = build_generator(params)
         steady = solve_steady_state(gen)
         lu = gen.lu
-        shared = liouvillian_spectrum(gen, k=2, steady=steady)
+        shared = liouvillian_spectrum(gen, k=2)
         assert gen.lu is lu
+        assert gen.null_state is steady
         alone = liouvillian_spectrum(build_generator(params), k=2)
         assert shared.gap == pytest.approx(alone.gap, rel=1e-12)
 
