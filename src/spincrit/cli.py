@@ -27,85 +27,104 @@ from .harness import (
     run_selftest,
     run_sweep,
 )
+from .metrology import DEFAULT_EIG_FLOOR
 from .operators import ModelParams
 
 _FULL_TASKS = "signals,bounds,qfi_steady,qfi_perturbed,chi2,xi2,gap"
 
 
 class _Parser(argparse.ArgumentParser):
+    """Takes each flag by its full name only: with prefix matching,
+    `scaling --n 40` would quietly mean `--n-list 40`."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
         raise ValidationError(f"{message}\n{self.format_usage()}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=100, help="number of spins N")
-    parser.add_argument("--omega", type=float, default=None, help="drive amplitude")
-    parser.add_argument(
-        "--omega-frac",
-        type=float,
-        default=None,
-        help="drive as a fraction of the critical coupling omega_c",
-    )
-    parser.add_argument("--gamma", type=float, default=1.0, help="collective jump rate")
-    parser.add_argument("--theta", type=float, default=0.0, help="squeezing angle in [0, pi/2)")
-    parser.add_argument(
-        "--lambda",
+def _list_of(kind: type, noun: str):
+    """argparse type for a comma-separated list, so a bad item names the flag."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(item) for item in text.split(",") if item.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}"
+            ) from None
+
+    return parse
+
+
+#: every flag, declared once; _SUBCOMMANDS says which subcommands take it
+_FLAGS: dict[str, dict] = {
+    "n": dict(type=int, default=100, help="number of spins N"),
+    "omega": dict(type=float, help="drive amplitude"),
+    "omega-frac": dict(type=float, help="drive as a fraction of the critical coupling omega_c"),
+    "at-critical": dict(action="store_true", help="run at omega = omega_c(theta)"),
+    "gamma": dict(type=float, default=1.0, help="collective jump rate"),
+    "theta": dict(type=float, default=0.0, help="squeezing angle in [0, pi/2)"),
+    "lambda": dict(
         dest="lambda_name",
         choices=("omega", "theta"),
         default="omega",
         help="parameter being estimated",
-    )
-    parser.add_argument(
-        "--generator",
-        default="optimal",
-        help="phase generator: sz | optimal | x | nx,ny,nz",
-    )
-    parser.add_argument("--step", type=float, default=None, help="finite-difference step")
-    parser.add_argument("--eig-floor", type=float, default=1e-12, help="population-pair floor")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
-    parser.add_argument("--no-meta", action="store_true", help="suppress the CSV meta line")
-    parser.add_argument("--config", default=None, help="flat key-value config file")
+    ),
+    "generator": dict(default="optimal", help="phase generator: sz | optimal | x | nx,ny,nz"),
+    "step": dict(type=float, help="finite-difference step"),
+    "eig-floor": dict(type=float, default=DEFAULT_EIG_FLOOR, help="population-pair floor"),
+    "axis": dict(choices=("omega", "theta", "n_spins"), default="omega"),
+    "start": dict(type=float),
+    "stop": dict(type=float),
+    "points": dict(type=int),
+    "values": dict(type=_list_of(float, "numbers"), help="explicit comma-separated grid"),
+    "n-list": dict(type=_list_of(int, "integers"), default="20,40,60,80,100,120"),
+    "quantity": dict(
+        choices=("qfi_steady", "chi2_steady", "qfi_perturbed", "chi2_perturbed"),
+        default="qfi_steady",
+    ),
+    "tasks": dict(default="signals", help="comma-separated task list"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "jobs": dict(type=int, default=1, help="worker processes for sweeps"),
+    "seed": dict(type=int, default=0, help="seed for randomized probes"),
+    "no-meta": dict(action="store_true", help="suppress the CSV meta line"),
+    "out": dict(help="output path (default stdout)"),
+    "config": dict(help="flat key-value config file"),
+}
+#: flags that set the drive; a command line gives at most one of them
+_DRIVE = ("omega", "omega-frac", "at-critical")
+#: help and flags of each subcommand; every one also takes --out and --config
+_SUBCOMMANDS = {
+    "steady": (
+        "full report at one parameter point",
+        "n omega omega-frac gamma theta lambda generator step eig-floor tasks format seed no-meta",
+    ),
+    "sweep": (
+        "sweep one axis over a grid",
+        "n omega omega-frac gamma theta lambda generator step eig-floor"
+        " axis start stop points values tasks format jobs seed no-meta",
+    ),
+    "scaling": (
+        "N sweep with a power-law fit",
+        "n-list omega omega-frac at-critical gamma theta lambda generator step eig-floor"
+        " quantity jobs seed",
+    ),
+    "meanfield": ("closed-form analytics, no solver", "n omega omega-frac gamma theta format"),
+    "selftest": ("run the structural invariant suite", "seed"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="spincrit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_steady = sub.add_parser("steady", help="full report at one parameter point")
-    _add_common(p_steady)
-    p_steady.add_argument("--tasks", default=_FULL_TASKS, help="comma-separated task list")
-
-    p_sweep = sub.add_parser("sweep", help="sweep one axis over a grid")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--axis", choices=("omega", "theta", "n_spins"), default="omega")
-    p_sweep.add_argument("--start", type=float, default=None)
-    p_sweep.add_argument("--stop", type=float, default=None)
-    p_sweep.add_argument("--points", type=int, default=None)
-    p_sweep.add_argument("--values", default=None, help="explicit comma-separated grid")
-    p_sweep.add_argument("--tasks", default="signals", help="comma-separated task list")
-
-    p_scaling = sub.add_parser("scaling", help="N sweep with a power-law fit")
-    _add_common(p_scaling)
-    p_scaling.add_argument("--n-list", default="20,40,60,80,100,120")
-    p_scaling.add_argument(
-        "--at-critical",
-        action="store_true",
-        help="run at omega = omega_c(theta)",
-    )
-    p_scaling.add_argument(
-        "--quantity",
-        choices=("qfi_steady", "chi2_steady", "qfi_perturbed", "chi2_perturbed"),
-        default="qfi_steady",
-    )
-
-    p_mf = sub.add_parser("meanfield", help="closed-form analytics, no solver")
-    _add_common(p_mf)
-
-    p_self = sub.add_parser("selftest", help="run the structural invariant suite")
-    _add_common(p_self)
+    for command, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        drive = p.add_mutually_exclusive_group()
+        for flag in flags.split() + ["out", "config"]:
+            (drive if flag in _DRIVE else p).add_argument(f"--{flag}", **_FLAGS[flag])
+    sub.choices["steady"].set_defaults(tasks=_FULL_TASKS)  # one point: every task
     return parser
 
 
@@ -134,24 +153,15 @@ def _load_config(path: str) -> list[str]:
     return tokens
 
 
-def _resolve_omega(args: argparse.Namespace) -> float:
-    if args.omega is not None and args.omega_frac is not None:
-        raise ValidationError("--omega and --omega-frac are mutually exclusive")
+def _normalized(args: argparse.Namespace) -> float:
+    """The drive in units of gamma: frequencies are reported that way."""
+    if not (math.isfinite(args.gamma) and args.gamma > 0):
+        raise ValidationError(f"--gamma must be finite and positive, got {args.gamma!r}")
     if args.omega_frac is not None:
         if args.theta >= math.pi / 4:
             raise ValidationError("--omega-frac needs omega_c > 0 (theta < pi/4)")
-        return args.omega_frac * math.cos(2 * args.theta)  # gamma-normalized units
-    return args.omega if args.omega is not None else 0.0
-
-
-def _normalized(args: argparse.Namespace) -> tuple[float, float]:
-    """(omega, gamma=1): frequencies are reported in units of gamma."""
-    if not (math.isfinite(args.gamma) and args.gamma > 0):
-        raise ValidationError(f"--gamma must be finite and positive, got {args.gamma!r}")
-    omega = _resolve_omega(args)
-    if args.omega_frac is None:
-        omega = omega / args.gamma
-    return omega, 1.0
+        return args.omega_frac * math.cos(2 * args.theta)
+    return (args.omega if args.omega is not None else 0.0) / args.gamma
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -165,12 +175,14 @@ def _emit(text: str, out_path: str | None) -> None:
         raise ValidationError(f"cannot write output path {out_path!r}: {exc}") from exc
 
 
-def _spec_from_args(args: argparse.Namespace, axis: str, values, tasks: str) -> SweepSpec:
-    omega, gamma = _normalized(args)
+def _spec_from_args(
+    args: argparse.Namespace, omega: float, axis: str, values, tasks: str
+) -> SweepSpec:
+    # steady takes no --jobs (one point) and scaling no --n (--n-list
+    # sets N); SweepSpec's own default stands in for the one not parsed
     return SweepSpec(
-        n_spins=args.n,
+        n_spins=getattr(args, "n", SweepSpec.n_spins),
         omega=omega,
-        gamma=gamma,
         theta=args.theta,
         axis=axis,
         values=tuple(values),
@@ -179,24 +191,23 @@ def _spec_from_args(args: argparse.Namespace, axis: str, values, tasks: str) -> 
         generator=args.generator,
         step=args.step,
         eig_floor=args.eig_floor,
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", SweepSpec.jobs),
         seed=args.seed,
     )
 
 
 def _cmd_steady(args: argparse.Namespace) -> int:
-    omega, gamma = _normalized(args)
-    spec = _spec_from_args(args, "omega", [omega], args.tasks)
+    omega = _normalized(args)
+    spec = _spec_from_args(args, omega, "omega", [omega], args.tasks)
     spec.validate()
-    params = ModelParams(args.n, omega, gamma, args.theta)
-    report = compute_report(params, spec)
+    report = compute_report(ModelParams(args.n, omega, theta=args.theta), spec)
     _emit(render_sweep([report], spec, args.format, no_meta=args.no_meta), args.out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.values is not None:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = args.values
     elif args.start is not None and args.stop is not None and args.points is not None:
         if args.points < 1:
             raise ValidationError("--points must be positive")
@@ -207,49 +218,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             values = [args.start + i * width for i in range(args.points)]
     else:
         raise ValidationError("sweep needs either --values or --start/--stop/--points")
-    spec = _spec_from_args(args, args.axis, values, args.tasks)
+    spec = _spec_from_args(args, _normalized(args), args.axis, values, args.tasks)
     rows = run_sweep(spec)
     _emit(render_sweep(rows, spec, args.format, no_meta=args.no_meta), args.out)
     return 0
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    n_values = [int(v) for v in args.n_list.split(",") if v.strip()]
+    n_values = args.n_list
     if len(n_values) < 4:
         raise ValidationError("scaling needs at least 4 N values")
     if args.at_critical:
         if args.theta >= math.pi / 4:
             raise ValidationError("--at-critical needs theta < pi/4")
-        args.omega, args.omega_frac = None, 1.0
+        args.omega_frac = 1.0
     task = "qfi_steady" if "steady" in args.quantity else "qfi_perturbed"
     tasks = task if args.quantity.startswith("qfi") else f"{task},chi2"
-    spec = _spec_from_args(args, "n_spins", n_values, tasks)
+    spec = _spec_from_args(args, _normalized(args), "n_spins", n_values, tasks)
     rows = run_sweep(spec)
     failed = [row for row in rows if "error" in row]
     if failed:
         raise SolverError(f"{len(failed)} scaling points failed: {failed[0]['error']}")
     ys = [row.get(args.quantity) for row in rows]
-    fit = fit_power_law(n_values, ys)
-    exps = meanfield.scaling_exponents()
-    reference = {
-        "d_nu": exps.d_nu,
-        "critical_qfi": exps.critical_qfi,
-        "critical_chi": exps.critical_chi,
-        "off_critical_bound": exps.off_critical_bound,
+    payload = {
+        "quantity": args.quantity,
+        **asdict(fit_power_law(n_values, ys)),
+        "reference_exponents": asdict(meanfield.scaling_exponents()),
+        "points": [{"n": n, args.quantity: float(y)} for n, y in zip(n_values, ys)],
     }
-    payload = {"quantity": args.quantity, **asdict(fit), "reference_exponents": reference}
-    payload["points"] = [
-        {"n": int(n), args.quantity: float(y)} for n, y in zip(n_values, ys)
-    ]
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
-    omega, gamma = _normalized(args)
+    omega = _normalized(args)
     # rho(-omega) = conj rho(omega): the values at |omega| with <Sy> negated
     sign = -1.0 if omega < 0 else 1.0
-    params = ModelParams(args.n, abs(omega), gamma, args.theta)
+    params = ModelParams(args.n, abs(omega), theta=args.theta)
     coeffs = meanfield.hp_coefficients(params)
     gauss = meanfield.gaussian_steady_state(coeffs)
     signals = meanfield.predict_signals(coeffs, args.n)
@@ -268,7 +273,9 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
         "bound_theta": (
             meanfield.bound_theta(params, args.n) if params.omega > 0 and args.theta > 0 else None
         ),
-        "optimal_theta": meanfield.optimal_theta(params.omega, gamma) if params.omega > 0 else None,
+        "optimal_theta": (
+            meanfield.optimal_theta(params.omega, params.gamma) if params.omega > 0 else None
+        ),
         "r": gauss.r,
         "sigma11": gauss.sigma11,
         "sigma22": gauss.sigma22,

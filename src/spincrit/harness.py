@@ -33,6 +33,7 @@ from .liouvillian import (
     solve_steady_state,
 )
 from .metrology import (
+    DEFAULT_EIG_FLOOR,
     chi_squared,
     default_fd_step,
     error_propagation,
@@ -91,7 +92,7 @@ class SweepSpec:
     lambda_name: str = "omega"
     generator: str = "optimal"
     step: float | None = None
-    eig_floor: float = 1e-12
+    eig_floor: float = DEFAULT_EIG_FLOOR
     jobs: int = 1
     seed: int = 0
 
@@ -304,27 +305,13 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
     return row
 
 
-def _point_params(spec: SweepSpec, value: float) -> ModelParams:
-    if spec.axis == "n_spins":
-        return ModelParams(int(value), spec.omega, spec.gamma, spec.theta)
-    kwargs = {"omega": spec.omega, "gamma": spec.gamma, "theta": spec.theta}
-    kwargs[spec.axis] = float(value)
-    return ModelParams(spec.n_spins, **kwargs)
-
-
 def _run_point(args: tuple[SweepSpec, float]) -> dict:
     spec, value = args
+    point = {"n_spins": spec.n_spins, "omega": spec.omega, "gamma": spec.gamma, "theta": spec.theta}
+    point[spec.axis] = int(value) if spec.axis == "n_spins" else float(value)
     try:
-        params = _point_params(spec, value)
-        return compute_report(params, spec)
+        return compute_report(ModelParams(**point), spec)
     except (SpincritError, ValueError) as exc:
-        point = {
-            "n_spins": spec.n_spins,
-            "omega": spec.omega,
-            "gamma": spec.gamma,
-            "theta": spec.theta,
-        }
-        point[spec.axis] = int(value) if spec.axis == "n_spins" else float(value)
         return {**_coordinates(**point), "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -344,15 +331,12 @@ def _worker_pool(jobs: int):
     the re-import.
     """
     unset = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
-    if not unset:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield pool
-        return
     limit = str(max(1, (os.cpu_count() or 1) // jobs))
     os.environ.update(dict.fromkeys(unset, limit))
     try:
         with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("spawn") if unset else None,
         ) as pool:
             yield pool
     finally:

@@ -84,9 +84,9 @@ class ScalingExponents:
     """Critical exponents implied by d*nu = 3/2."""
 
     d_nu: float = 1.5
-    off_critical_bound: float = 0.25
     critical_qfi: float = 4.0 / 3.0
     critical_chi: float = -1.0 / 3.0
+    off_critical_bound: float = 0.25
 
 
 def magnetization(params: ModelParams) -> float:

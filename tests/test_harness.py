@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -20,7 +21,7 @@ from spincrit import (
     run_selftest,
     run_sweep,
 )
-from spincrit.cli import cli_main
+from spincrit.cli import build_parser, cli_main
 from spincrit.harness import (
     KNOWN_TASKS,
     _BLAS_THREAD_VARS,
@@ -139,6 +140,15 @@ class TestRunSweep:
         }
         assert "OPENBLAS_NUM_THREADS" not in os.environ
         assert "MKL_NUM_THREADS" not in os.environ
+
+    def test_pool_workers_keep_user_set_blas_threads(self, monkeypatch):
+        user = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+        for name, value in user.items():
+            monkeypatch.setenv(name, value)
+        with _worker_pool(2) as pool:
+            seen = dict(zip(_BLAS_THREAD_VARS, pool.map(os.getenv, _BLAS_THREAD_VARS)))
+        assert seen == user
+        assert {name: os.environ.get(name) for name in _BLAS_THREAD_VARS} == user
 
     def test_one_factorization_per_stencil_point(self, monkeypatch):
         splu_calls, eigs_kwargs = [], []
@@ -340,7 +350,89 @@ class TestSelftest:
         assert "degenerate_kernel_detection" in names
 
 
+#: flags of every subcommand that runs the solver
+SOLVER_FLAGS = {
+    "--omega", "--omega-frac", "--gamma", "--theta", "--lambda", "--generator",
+    "--step", "--eig-floor", "--seed", "--out", "--config",
+}
+#: the flags each subcommand reads; every other flag is an unknown argument
+SUBCOMMAND_FLAGS = {
+    "steady": SOLVER_FLAGS | {"--n", "--tasks", "--format", "--no-meta"},
+    "sweep": SOLVER_FLAGS | {
+        "--n", "--axis", "--start", "--stop", "--points", "--values", "--tasks",
+        "--format", "--jobs", "--no-meta",
+    },
+    "scaling": SOLVER_FLAGS | {"--n-list", "--at-critical", "--quantity", "--jobs"},
+    "meanfield": {
+        "--n", "--omega", "--omega-frac", "--gamma", "--theta", "--format", "--out", "--config",
+    },
+    "selftest": {"--seed", "--out", "--config"},
+}
+DROPPED_FLAGS = [
+    ("steady", "--jobs"),
+    *(("scaling", flag) for flag in ("--n", "--format", "--no-meta")),
+    *(("meanfield", flag) for flag in (
+        "--lambda", "--generator", "--step", "--eig-floor", "--jobs", "--seed", "--no-meta",
+    )),
+    *(("selftest", flag) for flag in (
+        "--n", "--omega", "--omega-frac", "--gamma", "--theta", "--lambda", "--generator",
+        "--step", "--eig-floor", "--format", "--jobs", "--no-meta",
+    )),
+]
+#: a command line each subcommand runs cleanly without the dropped flag
+MINIMAL_ARGV = {
+    "steady": ["steady", "--n", "4", "--omega", "0.1", "--tasks", "signals"],
+    "scaling": ["scaling", "--n-list", "4,6,8,10", "--at-critical", "--theta", "0.3927"],
+    "meanfield": ["meanfield", "--n", "10", "--omega", "0.3"],
+    "selftest": ["selftest"],
+}
+
+
 class TestCli:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        taken = {
+            name: {a.option_strings[0] for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction)}
+            for name, parser in sub.choices.items()
+        }
+        assert taken == SUBCOMMAND_FLAGS
+        assert sum(map(len, taken.values())) == 62
+        assert len(DROPPED_FLAGS) == 23
+
+    @pytest.mark.parametrize("command,flag", DROPPED_FLAGS)
+    def test_dropped_flag_is_an_unknown_argument(self, capsys, command, flag):
+        value = [] if flag == "--no-meta" else ["1"]
+        assert cli_main(MINIMAL_ARGV[command] + [flag, *value]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_config_key_a_subcommand_does_not_take_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("jobs = 2\n")
+        assert cli_main(MINIMAL_ARGV["steady"] + ["--config", str(config)]) == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drive", [["--omega", "0.2"], ["--omega-frac", "0.5"]])
+    def test_at_critical_does_not_overwrite_a_given_drive(self, capsys, drive):
+        argv = ["scaling", "--n-list", "4,6,8,10", "--at-critical", "--theta", "0.3927"]
+        assert cli_main(argv + drive) == 1
+        assert f"argument {drive[0]}: not allowed with argument --at-critical" in (
+            capsys.readouterr().err
+        )
+
+    def test_list_flag_errors_name_the_flag(self, capsys):
+        argv = ["scaling", "--n-list", "4.5,6,8,10", "--at-critical", "--theta", "0.3927"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: argument --n-list: expected comma-separated integers, got '4.5,6,8,10'"
+        )
+        assert cli_main(["sweep", "--n", "4", "--values", "0.1,abc"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: argument --values: expected comma-separated numbers, got '0.1,abc'"
+        )
+
     def test_meanfield_text_output(self, capsys):
         code = cli_main(
             ["meanfield", "--gamma", "1", "--theta", "0.3926990816987241", "--omega", "0.5", "--n", "100"]
