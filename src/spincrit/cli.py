@@ -121,7 +121,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        drive = p.add_mutually_exclusive_group()
+        # argparse cannot print the usage of a parser with an empty group
+        takes_drive = any(flag in _DRIVE for flag in flags.split())
+        drive = p.add_mutually_exclusive_group() if takes_drive else p
         for flag in flags.split() + ["out", "config"]:
             (drive if flag in _DRIVE else p).add_argument(f"--{flag}", **_FLAGS[flag])
     sub.choices["steady"].set_defaults(tasks=_FULL_TASKS)  # one point: every task

@@ -388,15 +388,17 @@ MINIMAL_ARGV = {
 }
 
 
+def _subcommand_parsers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 class TestCli:
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
-        sub = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
         taken = {
             name: {a.option_strings[0] for a in parser._actions
                    if not isinstance(a, argparse._HelpAction)}
-            for name, parser in sub.choices.items()
+            for name, parser in _subcommand_parsers().items()
         }
         assert taken == SUBCOMMAND_FLAGS
         assert sum(map(len, taken.values())) == 62
@@ -407,6 +409,24 @@ class TestCli:
         value = [] if flag == "--no-meta" else ["1"]
         assert cli_main(MINIMAL_ARGV[command] + [flag, *value]) == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_each_subcommand_prints_its_usage_and_help(self, command):
+        parser = _subcommand_parsers()[command]
+        assert parser.format_usage().startswith(f"usage: spincrit {command}")
+        assert "--config" in parser.format_help()
+
+    def test_bad_selftest_seed_names_the_flag(self, capsys):
+        assert cli_main(["selftest", "--seed", "x"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: invalid int value: 'x'" in err
+        assert "usage: spincrit selftest" in err
+
+    def test_abbreviated_flag_is_an_unknown_argument(self, capsys):
+        # full names only: a prefix could silently pick another flag,
+        # as the dropped `scaling --n` would pick --n-list
+        assert cli_main(["sweep", "--n", "4", "--val", "0.1"]) == 1
+        assert "unrecognized arguments: --val 0.1" in capsys.readouterr().err
 
     def test_config_key_a_subcommand_does_not_take_exits_one(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
