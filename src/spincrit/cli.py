@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import meanfield
-from .errors import SolverError, SpincritError, ValidationError
+from .errors import PhaseDomainError, SolverError, SpincritError, ValidationError
 from .harness import (
     SweepSpec,
     compute_report,
@@ -127,6 +127,7 @@ def build_parser() -> _Parser:
         for flag in flags.split() + ["out", "config"]:
             (drive if flag in _DRIVE else p).add_argument(f"--{flag}", **_FLAGS[flag])
     sub.choices["steady"].set_defaults(tasks=_FULL_TASKS)  # one point: every task
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -254,36 +255,16 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
     omega = _normalized(args)
-    # rho(-omega) = conj rho(omega): the values at |omega| with <Sy> negated
-    sign = -1.0 if omega < 0 else 1.0
-    params = ModelParams(args.n, abs(omega), theta=args.theta)
-    coeffs = meanfield.hp_coefficients(params)
-    gauss = meanfield.gaussian_steady_state(coeffs)
-    signals = meanfield.predict_signals(coeffs, args.n)
-    qfi, chi2 = meanfield.analytic_qfi_chi(params, args.n)
+    params = ModelParams(args.n, omega, theta=args.theta)
+    predicted = meanfield.predictions(params)
+    if "sy" not in predicted:  # thermal phase: only m = sz = 0 is predicted
+        raise PhaseDomainError(meanfield.THERMAL_PHASE)
     payload = {
         "n": args.n,
         "omega_over_gamma": omega,
         "theta": args.theta,
         "omega_c": params.omega_c,
-        "m": coeffs.m,
-        "sy": sign * signals.sy,
-        "sz": signals.sz,
-        "var_sy": signals.var_sy,
-        "var_sz": signals.var_sz,
-        "bound_omega": meanfield.bound_omega(params, args.n),
-        "bound_theta": (
-            meanfield.bound_theta(params, args.n) if params.omega > 0 and args.theta > 0 else None
-        ),
-        "optimal_theta": (
-            meanfield.optimal_theta(params.omega, params.gamma) if params.omega > 0 else None
-        ),
-        "r": gauss.r,
-        "sigma11": gauss.sigma11,
-        "sigma22": gauss.sigma22,
-        "purity": gauss.purity,
-        "qfi": qfi,
-        "chi2": chi2,
+        **predicted,
     }
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -327,7 +308,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         config = config_parser.parse_known_args(argv)[0].config
         if config is not None:
             argv = argv[:1] + _load_config(config) + argv[1:]
-        args = parser.parse_args(argv)
+        args, stray = parser.parse_known_args(argv)
+        if stray:  # report them with the usage of the subcommand given them
+            parser.subcommands[args.command].error(f"unrecognized arguments: {' '.join(stray)}")
         return _COMMANDS[args.command](args)
     except (ValidationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

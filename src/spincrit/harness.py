@@ -204,32 +204,6 @@ def resolve_generator(spec_name: str, params: ModelParams) -> np.ndarray:
     return spin_direction_operator(ops, vec / nrm)
 
 
-def _meanfield_columns(params: ModelParams) -> dict:
-    # rho(-omega) = conj rho(omega), so a row at omega < 0 mirrors the
-    # row at |omega| with <Sy> negated
-    sign = -1.0 if params.omega < 0 else 1.0
-    params = replace(params, omega=abs(params.omega))
-    m = meanfield.magnetization(params)
-    if m == 0.0:
-        # thermal phase: the order parameter is flat at zero and the
-        # expansion gives no variances or bounds
-        return {"mf_m": m, "mf_sz": 0.0}
-    coeffs = meanfield.hp_coefficients(params)
-    sig = meanfield.predict_signals(coeffs, params.n_spins)
-    qfi, chi2 = meanfield.analytic_qfi_chi(params, params.n_spins)
-    return {
-        "mf_m": m,
-        "mf_sy": sign * sig.sy,
-        "mf_sz": sig.sz,
-        "mf_var_sy": sig.var_sy,
-        "mf_var_sz": sig.var_sz,
-        "mf_bound_omega": meanfield.bound_omega(params, params.n_spins),
-        "mf_r": meanfield.gaussian_steady_state(coeffs).r,
-        "mf_qfi": qfi,
-        "mf_chi2": chi2,
-    }
-
-
 def _coordinates(n_spins: int, omega: float, gamma: float, theta: float) -> dict:
     return {"n": n_spins, "omega_over_gamma": omega / gamma, "theta": theta}
 
@@ -246,7 +220,8 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
         tasks.add("qfi_perturbed")
 
     if "meanfield" in tasks:
-        row.update(_meanfield_columns(params))
+        predicted = meanfield.predictions(params)
+        row.update((c, predicted[c[3:]]) for c in TASK_COLUMNS["meanfield"] if c[3:] in predicted)
 
     if not tasks & _SOLVE_TASKS:
         if "gap" in tasks:

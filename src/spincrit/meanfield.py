@@ -11,7 +11,7 @@ controlled expansion and callers are pointed at the exact solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import PhaseDomainError, ValidationError
 from .operators import ModelParams
@@ -54,25 +54,21 @@ class GaussianSteadyState:
     """Gaussian reconstruction of the fluctuation steady state.
 
     Quadratures are x = b' + b and p = i(b' - b), so the vacuum has
-    sigma11 = sigma22 = 1. The state is pure (det Sigma = 1, n_th = 0,
-    alpha = 0): a squeezed vacuum with momentum antisqueezed,
-    sigma22 = e^{2r} >= 1 >= sigma11.
+    sigma11 = sigma22 = 1. The state is pure (det Sigma = 1): an
+    undisplaced squeezed vacuum with x and p uncorrelated and momentum
+    antisqueezed, sigma22 = e^{2r} >= 1 >= sigma11.
     """
 
     sigma11: float
     sigma22: float
-    sigma12: float
     r: float
-    alpha: float
-    n_th: float
     purity: float
 
 
 @dataclass(frozen=True)
 class SignalPrediction:
-    """Leading-order steady-state means and variances of s = S/(N/2)."""
+    """Leading-order steady-state means and variances of s = S/(N/2); <s_x> = 0."""
 
-    sx: float
     sy: float
     sz: float
     var_sy: float
@@ -100,24 +96,27 @@ def magnetization(params: ModelParams) -> float:
     return math.sqrt(1.0 - (params.omega / oc) ** 2)
 
 
-def _require_ferromagnetic(params: ModelParams) -> float:
+#: why a closed form is refused past the critical coupling
+THERMAL_PHASE = (
+    "mean-field valid in ferromagnetic phase (omega < omega_c); "
+    "thermal phase has M = 0, use the exact solver"
+)
+
+
+def _require_ferromagnetic(params: ModelParams) -> None:
     if abs(params.theta - math.pi / 4) < 1e-12:
         raise PhaseDomainError("theta = pi/4 has omega_c = 0; the expansion is invalid there")
     oc = params.omega_c
     if params.omega < 0:
         raise PhaseDomainError("mean-field results assume omega >= 0")
     if oc <= 0 or params.omega >= oc:
-        raise PhaseDomainError(
-            "mean-field valid in ferromagnetic phase (omega < omega_c); "
-            "thermal phase has M = 0, use the exact solver"
-        )
-    return oc
+        raise PhaseDomainError(THERMAL_PHASE)
 
 
 def hp_coefficients(params: ModelParams) -> HPCoefficients:
     """All bosonic-expansion coefficients; ferromagnetic phase only."""
-    oc = _require_ferromagnetic(params)
-    m = math.sqrt(1.0 - (params.omega / oc) ** 2)
+    _require_ferromagnetic(params)
+    m = magnetization(params)
     beta = -1j * math.sqrt(1.0 - m)
     beta_sq = -(1.0 - m)  # beta^2 is real and nonpositive
     k = 2.0 - (1.0 - m)
@@ -162,15 +161,7 @@ def gaussian_steady_state(coeffs: HPCoefficients) -> GaussianSteadyState:
     r = 0.5 * math.log(
         (1.0 + coeffs.m) / (2.0 * oc * coeffs.m) * coeffs.sqrt_rate_sum**2
     )
-    return GaussianSteadyState(
-        sigma11=s11,
-        sigma22=s22,
-        sigma12=0.0,
-        r=r,
-        alpha=0.0,
-        n_th=0.0,
-        purity=det ** (-0.5),
-    )
+    return GaussianSteadyState(sigma11=s11, sigma22=s22, r=r, purity=det ** (-0.5))
 
 
 def predict_signals(coeffs: HPCoefficients, n_spins: int) -> SignalPrediction:
@@ -182,7 +173,6 @@ def predict_signals(coeffs: HPCoefficients, n_spins: int) -> SignalPrediction:
     eps2 = 2.0 / n_spins
     rate2 = coeffs.sqrt_rate_sum**2
     return SignalPrediction(
-        sx=0.0,
         sy=coeffs.params.omega / oc,
         sz=-m,
         var_sy=eps2 * m / (2.0 * oc) * rate2,
@@ -196,24 +186,21 @@ def bound_omega(params: ModelParams, n_spins: int) -> float:
     (omega_c^2 - omega^2)^{1/4} * (sqrt(G-) + sqrt(G+)) / sqrt(N): the
     same bound emerges from either the s_y or the s_z signal.
     """
-    oc = _require_ferromagnetic(params)
     coeffs = hp_coefficients(params)
-    return (
-        (oc**2 - params.omega**2) ** 0.25 * coeffs.sqrt_rate_sum / math.sqrt(n_spins)
-    )
+    sqrt_oc_m = (params.omega_c**2 - params.omega**2) ** 0.25  # sqrt(omega_c * M)
+    return sqrt_oc_m * coeffs.sqrt_rate_sum / math.sqrt(n_spins)
 
 
 def bound_theta(params: ModelParams, n_spins: int) -> float:
     """Squeezing-angle estimation uncertainty floor."""
-    oc = _require_ferromagnetic(params)
+    coeffs = hp_coefficients(params)
     if params.omega == 0:
         raise ValidationError("bound_theta diverges at omega = 0 (no signal)")
     tan2t = math.tan(2.0 * params.theta)
     if tan2t == 0:
         raise ValidationError("bound_theta requires tan(2*theta) != 0")
-    coeffs = hp_coefficients(params)
     return (
-        (oc**2 - params.omega**2) ** 0.25
+        (params.omega_c**2 - params.omega**2) ** 0.25
         * coeffs.sqrt_rate_sum
         / (2.0 * math.sqrt(n_spins) * params.omega * tan2t)
     )
@@ -232,12 +219,46 @@ def analytic_qfi_chi(params: ModelParams, n_spins: int) -> tuple[float, float]:
     F_Q = N/(omega_c*M) * (sqrt(G-) + sqrt(G+))^2 and chi^2 = N/F_Q;
     both diverge/vanish as M -> 0 at the critical coupling.
     """
-    _require_ferromagnetic(params)
     coeffs = hp_coefficients(params)
     rate2 = coeffs.sqrt_rate_sum**2
     qfi = n_spins / (params.omega_c * coeffs.m) * rate2
     chi2 = params.omega_c * coeffs.m / rate2
     return qfi, chi2
+
+
+def predictions(params: ModelParams) -> dict:
+    """Every closed-form prediction at one parameter point, by name.
+
+    rho(-omega) = conj rho(omega), so omega < 0 gives the values at
+    |omega| with <s_y> negated. The thermal phase predicts only the zero
+    order parameter, {"m": 0.0, "sz": 0.0}. bound_theta is None unless
+    omega and theta are nonzero, optimal_theta None unless omega is.
+    """
+    sign = -1.0 if params.omega < 0 else 1.0
+    params = replace(params, omega=abs(params.omega))
+    if magnetization(params) == 0.0:
+        return {"m": 0.0, "sz": 0.0}
+    n, omega = params.n_spins, params.omega
+    coeffs = hp_coefficients(params)
+    signals = predict_signals(coeffs, n)
+    gauss = gaussian_steady_state(coeffs)
+    qfi, chi2 = analytic_qfi_chi(params, n)
+    return {
+        "m": coeffs.m,
+        "sy": sign * signals.sy,
+        "sz": signals.sz,
+        "var_sy": signals.var_sy,
+        "var_sz": signals.var_sz,
+        "bound_omega": bound_omega(params, n),
+        "bound_theta": bound_theta(params, n) if omega > 0 and params.theta > 0 else None,
+        "optimal_theta": optimal_theta(omega, params.gamma) if omega > 0 else None,
+        "r": gauss.r,
+        "sigma11": gauss.sigma11,
+        "sigma22": gauss.sigma22,
+        "purity": gauss.purity,
+        "qfi": qfi,
+        "chi2": chi2,
+    }
 
 
 def scaling_exponents() -> ScalingExponents:

@@ -106,19 +106,27 @@ def error_propagation(
     return math.sqrt(variance(op, center.rho)) / abs(deriv)
 
 
+def _in_eigenbasis(
+    state: SteadyState, drho: np.ndarray, eig_floor: float, leak_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """d rho in the eigenbasis of `state`, p_n + p_m, the pairs kept, and
+    the weight outside them if above leak_tol * max(1, |d rho|), else 0."""
+    p = state.populations
+    dmat = state.basis.conj().T @ drho @ state.basis
+    den = p[:, None] + p[None, :]
+    kept = den > eig_floor
+    leak = np.linalg.norm(dmat[~kept])
+    return dmat, den, kept, leak if leak > leak_tol * max(1.0, np.linalg.norm(dmat)) else 0.0
+
+
 def _spectral_qfi(
     state: SteadyState, drho: np.ndarray, eig_floor: float
 ) -> float:
     # leak threshold sits above the floor-adjacent noise that a
     # finite-difference derivative always carries (eigenvector rotations
     # inside the near-zero population cluster, amplified by 1/step)
-    p = state.populations
-    v = state.basis
-    dmat = v.conj().T @ drho @ v
-    den = p[:, None] + p[None, :]
-    kept = den > eig_floor
-    leak = np.linalg.norm(dmat[~kept])
-    if leak > 1e-6 * max(1.0, np.linalg.norm(dmat)):
+    dmat, den, kept, leak = _in_eigenbasis(state, drho, eig_floor, 1e-6)
+    if leak:
         warnings.warn(
             f"state derivative has weight {leak:.2e} outside the kept "
             f"eigenvalue support (floor {eig_floor:.1e})",
@@ -190,13 +198,8 @@ def sld(
     L_nm = 2 <n|d rho|m> / (p_n + p_m); Tr(rho L^2) reproduces the
     steady-state QFI for the same derivative and floor.
     """
-    p = steady.populations
-    v = steady.basis
-    dmat = v.conj().T @ drho @ v
-    den = p[:, None] + p[None, :]
-    kept = den > eig_floor
-    leak = np.linalg.norm(dmat[~kept])
-    if leak > 1e-8 * max(1.0, np.linalg.norm(dmat)):
+    dmat, den, kept, leak = _in_eigenbasis(steady, drho, eig_floor, 1e-8)
+    if leak:
         warnings.warn(
             f"derivative weight {leak:.2e} outside kept support; SLD is "
             "only defined on the kept block",
@@ -205,7 +208,7 @@ def sld(
         )
     lmat = np.zeros_like(dmat)
     lmat[kept] = 2.0 * dmat[kept] / den[kept]
-    out = v @ lmat @ v.conj().T
+    out = steady.basis @ lmat @ steady.basis.conj().T
     return (out + out.conj().T) / 2
 
 

@@ -24,6 +24,7 @@ from spincrit import (
 from spincrit.cli import build_parser, cli_main
 from spincrit.harness import (
     KNOWN_TASKS,
+    TASK_COLUMNS,
     _BLAS_THREAD_VARS,
     _worker_pool,
     compute_report,
@@ -428,6 +429,12 @@ class TestCli:
         assert cli_main(["sweep", "--n", "4", "--val", "0.1"]) == 1
         assert "unrecognized arguments: --val 0.1" in capsys.readouterr().err
 
+    def test_stray_flag_is_reported_with_the_subcommand_usage(self, capsys):
+        assert cli_main(MINIMAL_ARGV["steady"] + ["--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --jobs 2\nusage: spincrit steady")
+        assert "--eig-floor" in err
+
     def test_config_key_a_subcommand_does_not_take_exits_one(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("jobs = 2\n")
@@ -462,6 +469,23 @@ class TestCli:
         assert "m = 0.707106781186" in out
         assert "r = 0.534799996" in out
         assert "bound_omega = 0.0923879532" in out
+
+    @pytest.mark.parametrize("omega", [-0.5, 0.3])
+    def test_meanfield_command_and_task_agree(self, capsys, omega):
+        argv = ["meanfield", "--n", "100", "--omega", str(omega), "--theta", "0.3927",
+                "--format", "json"]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spec = small_spec(n_spins=100, theta=0.3927, values=(omega,), tasks=("meanfield",))
+        (row,) = run_sweep(spec)
+        for col in TASK_COLUMNS["meanfield"]:
+            assert row[col] == payload[col[3:]], col
+
+    def test_meanfield_command_refuses_the_thermal_phase(self, capsys):
+        assert cli_main(["meanfield", "--n", "100", "--omega", "0.9", "--theta", "0.3927"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mean-field valid in ferromagnetic phase")
 
     def test_meanfield_at_negative_omega_mirrors_positive_omega(self, capsys):
         # rho(-omega) = conj rho(omega): only <Sy> and the drive flip sign

@@ -19,6 +19,7 @@ from spincrit import (
     magnetization,
     optimal_theta,
     predict_signals,
+    predictions,
     scaling_exponents,
     solve_steady_state,
 )
@@ -111,9 +112,7 @@ class TestGaussianState:
         for _ in range(20):
             gauss = gaussian_steady_state(hp_coefficients(random_ferromagnetic_params(rng)))
             assert gauss.sigma11 * gauss.sigma22 == pytest.approx(1.0, abs=1e-10)
-            assert gauss.sigma12 == 0.0
             assert gauss.purity == pytest.approx(1.0, abs=1e-10)
-            assert gauss.alpha == 0.0 and gauss.n_th == 0.0
 
     def test_squeezing_parameter_value(self):
         # direct evaluation of (1/2) ln[(1+M)(sqrt(G-)+sqrt(G+))^2/(2 omega_c M)]
@@ -147,7 +146,6 @@ class TestSignals:
         assert sig.sz == -1.0
         assert sig.sy == 0.0
         assert sig.var_sz == pytest.approx(0.0, abs=1e-14)
-        assert sig.sx == 0.0
 
     def test_against_displayed_formulas(self):
         params = ModelParams(100, 0.5, 1.0, PI8)
@@ -226,6 +224,10 @@ class TestBounds:
         value = bound_theta(ModelParams(100, 0.5, 1.0, PI8), 100)
         assert value == pytest.approx(0.09238795325112871, abs=1e-12)
 
+    def test_bound_theta_checks_the_phase_before_the_drive(self):
+        with pytest.raises(PhaseDomainError, match="ferromagnetic phase"):
+            bound_theta(ModelParams(100, 0.0, 1.0, 1.2), 100)
+
     def test_bound_theta_rejects_zero_drive(self):
         with pytest.raises(ValidationError):
             bound_theta(ModelParams(100, 0.0, 1.0, PI8), 100)
@@ -283,6 +285,12 @@ class TestQfiChi:
     def test_thermal_phase_rejected(self):
         with pytest.raises(PhaseDomainError):
             analytic_qfi_chi(ModelParams(50, 0.75, 1.0, PI8), 50)
+
+
+class TestPredictions:
+    @pytest.mark.parametrize("omega", [-0.9, 0.9])
+    def test_thermal_phase_predicts_only_the_zero_order_parameter(self, omega):
+        assert predictions(ModelParams(100, omega, 1.0, 0.3927)) == {"m": 0.0, "sz": 0.0}
 
 
 def test_scaling_exponents():
