@@ -147,10 +147,8 @@ def _load_config(path: str) -> list[str]:
                     key = parts[0]
                     value = parts[1].strip() if len(parts) > 1 else ""
                 flag = "--" + key.replace("_", "-")
-                if value.lower() in ("true", ""):
-                    tokens.append(flag)
-                else:
-                    tokens.extend([flag, value])
+                # one token, so a value that starts with "-" is not a flag
+                tokens.append(flag if value.lower() in ("true", "") else f"{flag}={value}")
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
     return tokens

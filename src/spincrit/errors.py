@@ -25,9 +25,5 @@ class DegenerateSteadyStateError(SolverError):
     """The generator has more than one steady state within tolerance."""
 
 
-class StepSizeWarning(UserWarning):
-    """Finite-difference step looks too large for the requested quantity."""
-
-
 class SupportLeakWarning(UserWarning):
     """A state derivative has weight outside the kept eigenvalue support."""

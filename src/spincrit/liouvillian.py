@@ -1,4 +1,4 @@
-"""Lindblad generator, steady-state solver, spectrum, and time evolution.
+"""Lindblad generator, steady-state solver, and spectrum.
 
 The master equation is
 
@@ -348,65 +348,3 @@ def liouvillian_spectrum(gen: LindbladGenerator, k: int = 6, *, seed: int = 0) -
     modes = SHIFT * gen.params.gamma + 1.0 / mu
     vals = np.concatenate(([0j], modes[np.argsort(-modes.real)]))
     return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="arnoldi")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Density-matrix trajectory from adaptive integration."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def evolve(
-    gen: LindbladGenerator,
-    rho_in: np.ndarray,
-    t_final: float,
-    *,
-    t_eval: np.ndarray | None = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
-) -> Trajectory:
-    """Integrate d(vec rho)/dt = L vec(rho) with adaptive RK45.
-
-    Aborts if the trace drifts from 1 by more than 1e-6; returned
-    states are hermitized and trace-normalized.
-    """
-    _require_density(rho_in)
-    if t_final < 0:
-        raise ValidationError("t_final must be nonnegative")
-    if t_final == 0:
-        return Trajectory(np.array([0.0]), np.asarray(rho_in, dtype=complex)[None, :, :])
-
-    # imported here, not at module level: it costs every process ~0.1 s
-    from scipy.integrate import solve_ivp
-    d = gen.dimension
-    mat = gen.matrix
-
-    def rhs(_t: float, v: np.ndarray) -> np.ndarray:
-        return mat @ v
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_final)),
-        np.asarray(rho_in, dtype=complex).reshape(-1),
-        method="RK45",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise SolverError(f"time integration failed: {sol.message}")
-
-    states = sol.y.T.reshape(-1, d, d)
-    traces = np.einsum("tii->t", states).real
-    drift = np.abs(traces - 1.0).max()
-    if drift > 1e-6:
-        raise SolverError(f"trace drifted by {drift:.2e} (> 1e-6) during evolution")
-    states = (states + states.conj().transpose(0, 2, 1)) / 2
-    states = states / traces[:, None, None]
-    return Trajectory(sol.t, states)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import StepSizeWarning, SupportLeakWarning, ValidationError
+from .errors import SupportLeakWarning, ValidationError
 from .liouvillian import SteadyState, build_generator, solve_steady_state
 from .operators import (
     ModelParams,
@@ -141,32 +141,12 @@ def qfi_steady(
     lam: float,
     step: float,
     eig_floor: float = DEFAULT_EIG_FLOOR,
-    step_check: bool = False,
 ) -> float:
-    """Scheme-(i) QFI: 2 sum |<n|d rho|m>|^2 / (p_n + p_m).
-
-    With step_check=True the step is halved once and a relative change
-    above 1% raises a StepSizeWarning (the halved-step value is then
-    returned as the better estimate).
-    """
+    """Scheme-(i) QFI: 2 sum |<n|d rho|m>|^2 / (p_n + p_m)."""
     if eig_floor < 0:
         raise ValidationError("eig_floor must be nonnegative")
     center = solver(lam)
-    value = _spectral_qfi(center, steady_derivative(solver, lam, step), eig_floor)
-    if step_check:
-        refined = _spectral_qfi(
-            center, steady_derivative(solver, lam, step / 2), eig_floor
-        )
-        if abs(refined - value) > 0.01 * max(abs(refined), abs(value), 1e-300):
-            warnings.warn(
-                f"QFI changed by more than 1% when halving the step "
-                f"({value:.6g} -> {refined:.6g}); derivative step {step:.2e} "
-                "is too large",
-                StepSizeWarning,
-                stacklevel=2,
-            )
-        return refined
-    return value
+    return _spectral_qfi(center, steady_derivative(solver, lam, step), eig_floor)
 
 
 def qfi_perturbed(

@@ -2,13 +2,13 @@
 
 The dense SVD costs O((N+1)^6) and the relaxation runs RK45 for up to
 t = 4000/gamma, so both are for small N only. The parity-block spectrum
-is a dense eigvals split in two, for N up to a few tens.
+is a dense eigvals split in two, for N up to a few tens. The package
+itself integrates no dynamics; relax() here is the only integrator.
 """
 
 import numpy as np
 import scipy.linalg
-
-from spincrit import evolve
+from scipy.integrate import solve_ivp
 
 
 def dense_null_space(gen):
@@ -30,6 +30,26 @@ def dense_null_steady(gen):
     return rho / np.trace(rho).real
 
 
+def relax(gen, rho, t, *, t_eval=None, rtol=1e-8, atol=1e-12):
+    """States of d(vec rho)/dt = L vec(rho) from RK45 up to time t.
+
+    Returns (times, states): the times the integrator kept (or t_eval)
+    and the (d, d) density matrices there, unnormalized.
+    """
+    d = gen.dimension
+    sol = solve_ivp(
+        lambda _t, v: gen.matrix @ v,
+        (0.0, float(t)),
+        np.asarray(rho, dtype=complex).reshape(-1),
+        method="RK45",
+        t_eval=t_eval,
+        rtol=rtol,
+        atol=atol,
+    )
+    assert sol.success, sol.message
+    return sol.t, sol.y.T.reshape(-1, d, d)
+
+
 def evolve_to_steady(gen):
     """Relax the maximally mixed state until |L(rho)| < 1e-10*gamma.
 
@@ -40,7 +60,7 @@ def evolve_to_steady(gen):
     d = gen.dimension
     rho = np.eye(d, dtype=complex) / d
     for _ in range(160):
-        rho = evolve(gen, rho, 25.0 / gamma, rtol=1e-11, atol=1e-15).final
+        rho = relax(gen, rho, 25.0 / gamma, rtol=1e-11, atol=1e-15)[1][-1]
         if np.linalg.norm(gen.matrix @ rho.reshape(-1)) < 1e-10 * gamma:
             return rho
     raise AssertionError("no residual below 1e-10*gamma by t = 4000/gamma")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import spincrit.harness
 import spincrit.liouvillian
 
 from spincrit import (
@@ -26,6 +27,7 @@ from spincrit.harness import (
     KNOWN_TASKS,
     TASK_COLUMNS,
     _BLAS_THREAD_VARS,
+    _check_uniqueness,
     _worker_pool,
     compute_report,
     csv_columns,
@@ -350,6 +352,18 @@ class TestSelftest:
         assert "sweep_determinism_across_jobs" in names
         assert "degenerate_kernel_detection" in names
 
+    def test_uniqueness_check_fails_on_a_degenerate_generator(self, monkeypatch):
+        # theta = pi/4 gives L one zero mode per Sx eigenstate
+        build = spincrit.liouvillian.build_generator
+        monkeypatch.setattr(
+            spincrit.harness,
+            "build_generator",
+            lambda params: build(replace(params, theta=math.pi / 4)),
+        )
+        check = _check_uniqueness(0)
+        assert not check.passed
+        assert check.detail.startswith("21 zero mode(s)")
+
 
 #: flags of every subcommand that runs the solver
 SOLVER_FLAGS = {
@@ -439,7 +453,14 @@ class TestCli:
         config = tmp_path / "run.cfg"
         config.write_text("jobs = 2\n")
         assert cli_main(MINIMAL_ARGV["steady"] + ["--config", str(config)]) == 1
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert "unrecognized arguments: --jobs=2" in capsys.readouterr().err
+
+    def test_config_list_may_start_with_a_minus_sign(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("values = -0.5,0.5\nno-meta\n")
+        assert cli_main(["sweep", "--n", "4", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["-0.5", "0.5"]
 
     @pytest.mark.parametrize("drive", [["--omega", "0.2"], ["--omega-frac", "0.5"]])
     def test_at_critical_does_not_overwrite_a_given_drive(self, capsys, drive):
@@ -734,6 +755,22 @@ class TestCli:
         assert payload[0]["qfi_steady"] > 0
         assert payload[0]["eprop_sz"] > 0
         assert payload[0]["chi2_steady"] == pytest.approx(6 / payload[0]["qfi_steady"])
+
+    @pytest.mark.parametrize("theta", ["0", "1.5707"])
+    def test_lambda_theta_stencil_outside_the_domain_names_the_flag(self, capsys, theta):
+        argv = ["steady", "--n", "6", "--omega", "0.2", "--theta", theta,
+                "--lambda", "theta", "--tasks", "qfi_steady"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lambda theta needs theta +/- step inside [0, pi/2)")
+        assert f"got theta = {float(theta)!r} with step" in err
+
+    def test_lambda_theta_stencil_error_stays_in_its_sweep_row(self):
+        spec = small_spec(omega=0.3, axis="theta", values=(0.0, 0.3), tasks=("qfi_steady",),
+                          lambda_name="theta")
+        first, second = run_sweep(spec)
+        assert first["error"].startswith("ValidationError: --lambda theta")
+        assert "error" not in second and second["qfi_steady"] > 0
 
     def test_solver_flag_removed(self, tmp_path, capsys):
         # one steady-state path: --solver, from the command line or a

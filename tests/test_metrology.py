@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import scipy.linalg
 from spincrit import (
     ModelParams,
     SteadyState,
-    StepSizeWarning,
     SupportLeakWarning,
     ValidationError,
     bound_omega,
@@ -135,14 +133,6 @@ class TestQfiSteady:
         coarse = qfi_steady(solver, params.omega, step=step)
         fine = qfi_steady(solver, params.omega, step=step / 2)
         assert fine == pytest.approx(coarse, rel=1e-6)
-
-    def test_step_check_warns_on_oversized_step(self):
-        solver = pure_family(angle_scale=40.0)  # QFI varies on scale 1/40
-        with pytest.warns(StepSizeWarning):
-            qfi_steady(solver, 0.01, step=0.05, step_check=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            qfi_steady(solver, 0.01, step=1e-6, step_check=True)
 
     def test_monotone_growth_towards_critical(self):
         params = ModelParams(60, 0.0, 1.0, PI8)

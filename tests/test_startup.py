@@ -1,9 +1,9 @@
-"""Importing the CLI must not load scipy.integrate.
+"""The package never loads scipy.integrate or scipy.optimize.
 
 scipy.integrate drags in scipy.optimize, scipy.special and scipy.spatial,
-about a third of the start-up time of every spincrit process, and only
-evolve() uses it. This checks, in a fresh process, that it stays off the
-import path and that evolve() still loads it and works.
+about a third of the start-up time of every spincrit process. This
+checks, in a fresh process, that importing the CLI and running a small
+steady report with every task, the gap included, loads neither.
 """
 
 import json
@@ -16,29 +16,25 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import json, sys
-import numpy as np
-import spincrit.cli
-from spincrit import ModelParams, build_generator, evolve
+from spincrit.cli import cli_main
 
-lazy = ("scipy.integrate", "scipy.optimize")
-at_import = [name for name in lazy if name in sys.modules]
-gen = build_generator(ModelParams(2, 0.3, 1.0, 0.35))
-final = evolve(gen, np.eye(3) / 3, 1.0).final
+code = cli_main(["steady", "--n", "6", "--omega", "0.2", "--theta", "0.3", "--no-meta"])
 print(json.dumps({
-    "at_import": at_import,
-    "after_evolve": [name for name in lazy if name in sys.modules],
-    "trace": [np.trace(final).real, np.trace(final).imag],
+    "code": code,
+    "loaded": [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules],
 }))
 """
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded_until_evolve():
+def test_cli_and_a_full_report_leave_scipy_integrate_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["at_import"] == []
-    assert "scipy.integrate" in result["after_evolve"]
-    assert abs(result["trace"][0] - 1.0) <= 1e-12 and abs(result["trace"][1]) <= 1e-12
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    assert result == {"code": 0, "loaded": []}
+    # the report itself ran: a header and one row with the gap filled in
+    header, row = lines[:2]
+    assert row.split(",")[header.split(",").index("gap")]
