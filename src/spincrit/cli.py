@@ -24,6 +24,7 @@ from .harness import (
     compute_report,
     fit_power_law,
     render_sweep,
+    row_error,
     run_selftest,
     run_sweep,
 )
@@ -146,16 +147,18 @@ def _load_config(path: str) -> list[str]:
                     parts = line.split(None, 1)
                     key = parts[0]
                     value = parts[1].strip() if len(parts) > 1 else ""
-                flag = "--" + key.replace("_", "-")
+                key = key.replace("_", "-")
+                if value.lower() == "false" and _FLAGS.get(key, {}).get("action") == "store_true":
+                    continue  # a switch left off
                 # one token, so a value that starts with "-" is not a flag
-                tokens.append(flag if value.lower() in ("true", "") else f"{flag}={value}")
+                tokens.append(f"--{key}" if value.lower() in ("true", "") else f"--{key}={value}")
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
     return tokens
 
 
 def _normalized(args: argparse.Namespace) -> float:
-    """The drive in units of gamma: frequencies are reported that way."""
+    """The drive in units of gamma, the unit of everything below the CLI."""
     if not (math.isfinite(args.gamma) and args.gamma > 0):
         raise ValidationError(f"--gamma must be finite and positive, got {args.gamma!r}")
     if args.omega_frac is not None:
@@ -237,9 +240,9 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     tasks = task if args.quantity.startswith("qfi") else f"{task},chi2"
     spec = _spec_from_args(args, _normalized(args), "n_spins", n_values, tasks)
     rows = run_sweep(spec)
-    failed = [row for row in rows if "error" in row]
+    failed = sum("error" in row for row in rows)
     if failed:
-        raise SolverError(f"{len(failed)} scaling points failed: {failed[0]['error']}")
+        raise row_error(rows, f"{failed} scaling points failed")
     ys = [row.get(args.quantity) for row in rows]
     payload = {
         "quantity": args.quantity,

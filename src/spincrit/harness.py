@@ -18,10 +18,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import meanfield
+from . import errors, meanfield
 from .errors import (
     DegenerateSteadyStateError,
-    SolverError,
     SpincritError,
     ValidationError,
 )
@@ -84,7 +83,6 @@ class SweepSpec:
 
     n_spins: int = 100
     omega: float = 0.0
-    gamma: float = 1.0
     theta: float = 0.0
     axis: str = "omega"
     values: tuple[float, ...] = ()
@@ -204,8 +202,8 @@ def resolve_generator(spec_name: str, params: ModelParams) -> np.ndarray:
     return spin_direction_operator(ops, vec / nrm)
 
 
-def _coordinates(n_spins: int, omega: float, gamma: float, theta: float) -> dict:
-    return {"n": n_spins, "omega_over_gamma": omega / gamma, "theta": theta}
+def _coordinates(n_spins: int, omega: float, theta: float) -> dict:
+    return {"n": n_spins, "omega_over_gamma": omega, "theta": theta}
 
 
 def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
@@ -214,7 +212,7 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
     Returns one row: a dict keyed by CSV column name. A column whose
     task did not run, or produced no value, is absent.
     """
-    row = _coordinates(params.n_spins, params.omega, params.gamma, params.theta)
+    row = _coordinates(params.n_spins, params.omega, params.theta)
     tasks = set(spec.tasks)
     if "chi2" in tasks and not tasks & {"qfi_steady", "qfi_perturbed"}:
         tasks.add("qfi_perturbed")
@@ -287,7 +285,7 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
 
 def _run_point(args: tuple[SweepSpec, float]) -> dict:
     spec, value = args
-    point = {"n_spins": spec.n_spins, "omega": spec.omega, "gamma": spec.gamma, "theta": spec.theta}
+    point = {"n_spins": spec.n_spins, "omega": spec.omega, "theta": spec.theta}
     point[spec.axis] = int(value) if spec.axis == "n_spins" else float(value)
     try:
         return compute_report(ModelParams(**point), spec)
@@ -324,8 +322,17 @@ def _worker_pool(jobs: int):
             os.environ.pop(name, None)
 
 
+def row_error(rows: list[dict], message: str) -> Exception:
+    """`message` and the first failed row's error, as the class its cell names.
+
+    _run_point catches ValueError and the classes of errors, nothing else.
+    """
+    first = next(row["error"] for row in rows if "error" in row)
+    return getattr(errors, first.split(":", 1)[0], ValueError)(f"{message}: {first}")
+
+
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per grid value, in grid order; failures stay per-row."""
+    """One row per grid value, in grid order; failures stay per-row unless all fail."""
     spec.validate()
     jobs = [(spec, value) for value in spec.values]
     if spec.jobs > 1 and len(jobs) > 1:
@@ -334,9 +341,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     else:
         rows = [_run_point(job) for job in jobs]
     if rows and all("error" in row for row in rows):
-        raise SolverError(
-            f"all {len(rows)} sweep rows failed; first error: {rows[0]['error']}"
-        )
+        raise row_error(rows, f"all {len(rows)} sweep rows failed; first error")
     return rows
 
 
@@ -411,7 +416,7 @@ def _check(name: str, passed: bool, detail: str) -> SelftestCheck:
 def _check_su2(seed: int) -> SelftestCheck:
     worst = 0.0
     for n in (1, 2, 3, 5, 8, 13, 21, 30):
-        params = ModelParams(n, 0.0, 1.0, 0.3)
+        params = ModelParams(n, 0.0, theta=0.3)
         ops = build_operators(params)
         s = params.s
         scale = max(1.0, s * s)
@@ -433,7 +438,7 @@ def _check_su2(seed: int) -> SelftestCheck:
 def _check_trace_hermiticity(seed: int) -> SelftestCheck:
     rng = np.random.default_rng(seed)
     worst_tr, worst_herm = 0.0, 0.0
-    gen = build_generator(ModelParams(8, 0.4, 1.0, math.pi / 8))
+    gen = build_generator(ModelParams(8, 0.4, theta=math.pi / 8))
     for _ in range(20):
         mat = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         rho = mat + mat.conj().T
@@ -450,10 +455,9 @@ def _check_trace_hermiticity(seed: int) -> SelftestCheck:
 
 
 def _check_steady(seed: int) -> SelftestCheck:
-    params = ModelParams(20, 0.35, 1.0, math.pi / 8)
-    steady = solve_steady_state(build_generator(params))
+    steady = solve_steady_state(build_generator(ModelParams(20, 0.35, theta=math.pi / 8)))
     min_eig = np.linalg.eigvalsh((steady.rho + steady.rho.conj().T) / 2).min()
-    ok = steady.residual <= 1e-9 * params.gamma and min_eig >= -1e-9
+    ok = steady.residual <= 1e-9 and min_eig >= -1e-9
     return _check(
         "steady_residual_and_positivity",
         ok,
@@ -462,8 +466,7 @@ def _check_steady(seed: int) -> SelftestCheck:
 
 
 def _check_dark_state(seed: int) -> SelftestCheck:
-    params = ModelParams(12, 0.0, 1.0, 0.0)
-    steady = solve_steady_state(build_generator(params))
+    steady = solve_steady_state(build_generator(ModelParams(12, 0.0)))
     off_diag = np.abs(steady.rho - np.diag(np.diag(steady.rho))).max()
     ground = abs(steady.rho[0, 0].real - 1.0)
     ok = off_diag <= 1e-9 and ground <= 1e-9
@@ -475,8 +478,7 @@ def _check_dark_state(seed: int) -> SelftestCheck:
 
 
 def _check_solver_paths(seed: int) -> SelftestCheck:
-    params = ModelParams(20, 0.3, 1.0, math.pi / 8)
-    gen = build_generator(params)
+    gen = build_generator(ModelParams(20, 0.3, theta=math.pi / 8))
     steady = solve_steady_state(gen, seed=seed)
     # reference: the dense SVD null vector of L
     null = np.linalg.svd(gen.matrix.toarray())[2][-1].conj().reshape(21, 21)
@@ -489,14 +491,13 @@ def _check_uniqueness(seed: int) -> SelftestCheck:
     # the steady state is unique exactly when L has one zero eigenvalue
     # and every other mode decays; the dense spectrum shows both, and
     # its gap is the reference for the Arnoldi one
-    params = ModelParams(20, 0.3, 1.0, math.pi / 8)
-    gen = build_generator(params)
+    gen = build_generator(ModelParams(20, 0.3, theta=math.pi / 8))
     vals = np.linalg.eigvals(gen.matrix.toarray())
     vals = vals[np.argsort(-vals.real)]
-    zeros = int((np.abs(vals) <= 1e-9 * params.gamma).sum())
+    zeros = int((np.abs(vals) <= 1e-9).sum())
     gap = float(-vals[1].real)
     detail = f"{zeros} zero mode(s), |zero mode| {abs(vals[0]):.2e}, dense gap {gap:.6g}"
-    if zeros != 1 or gap <= DEGENERACY_TOL * params.gamma:
+    if zeros != 1 or gap <= DEGENERACY_TOL:
         return _check("steady_state_uniqueness", False, detail)
     deviation = abs(liouvillian_spectrum(gen, k=2, seed=seed).gap / gap - 1)
     return _check(
@@ -507,9 +508,8 @@ def _check_uniqueness(seed: int) -> SelftestCheck:
 
 
 def _check_degeneracy_detection(seed: int) -> SelftestCheck:
-    params = ModelParams(6, 0.4, 1.0, math.pi / 4)
     try:
-        solve_steady_state(build_generator(params))
+        solve_steady_state(build_generator(ModelParams(6, 0.4, theta=math.pi / 4)))
     except DegenerateSteadyStateError:
         return _check("degenerate_kernel_detection", True, "theta = pi/4 kernel flagged")
     return _check(
@@ -520,12 +520,9 @@ def _check_degeneracy_detection(seed: int) -> SelftestCheck:
 def _check_sweep_determinism(seed: int) -> SelftestCheck:
     spec = SweepSpec(
         n_spins=10,
-        gamma=1.0,
         theta=math.pi / 8,
-        axis="omega",
         values=(0.1, 0.25, 0.4),
         tasks=("signals", "meanfield"),
-        jobs=1,
         seed=seed,
     )
     serial = render_sweep(run_sweep(spec), spec, "csv", no_meta=True)

@@ -3,9 +3,10 @@
 The master equation is
 
     d rho/dt = -i*omega*[Sx, rho]
-               + (gamma/N) * (2 St rho St' - St'St rho - rho St'St)
+               + (1/N) * (2 St rho St' - St'St rho - rho St'St)
 
-with jump operator St = cos(theta)*S- + sin(theta)*S+ (St' its adjoint).
+with jump operator St = cos(theta)*S- + sin(theta)*S+ (St' its adjoint)
+and time in units of 1/(collective jump rate), so rates are pure numbers.
 
 Density matrices are vectorized by row stacking (numpy C order), so
 vec(A @ rho @ B) = kron(A, B.T) @ vec(rho) and a matrix is recovered
@@ -37,12 +38,11 @@ from .errors import (
 )
 from .operators import ModelParams, SpinOperatorSet, build_operators, _require_density
 
-#: Shift-invert offset sigma and residual target of the steady solve, in
-#: units of gamma.
+#: Shift-invert offset sigma and residual target of the steady solve.
 SHIFT = 1e-8
 TOL = 1e-10
 MAX_ITER = 50
-#: A second Liouvillian mode within DEGENERACY_TOL*gamma of zero makes
+#: A second Liouvillian mode within DEGENERACY_TOL of zero makes
 #: the steady state count as degenerate.
 DEGENERACY_TOL = 1e-6
 POSITIVITY_TOL = 1e-9
@@ -50,15 +50,11 @@ POSITIVITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Sparse superoperator for one parameter point.
-
-    collapse_rate is the gamma/N prefactor multiplying the dissipator.
-    """
+    """Sparse superoperator for one parameter point."""
 
     params: ModelParams
     ops: SpinOperatorSet
     matrix: sparse.csc_matrix
-    collapse_rate: float
 
     @property
     def dimension(self) -> int:
@@ -71,7 +67,7 @@ class LindbladGenerator:
 
     @cached_property
     def lu(self):
-        """Sparse LU of R - SHIFT*gamma*1, factorized on first use.
+        """Sparse LU of R - SHIFT, factorized on first use.
 
         R is L in real coordinates. The steady-state power iteration,
         its degeneracy probe and the gap's Arnoldi run all apply the
@@ -83,7 +79,7 @@ class LindbladGenerator:
         real = (to_real @ self.matrix @ to_vec).real
         eye = sparse.identity(self.dimension**2, format="csc")
         try:
-            return splu((real - SHIFT * self.params.gamma * eye).tocsc())
+            return splu((real - SHIFT * eye).tocsc())
         except RuntimeError as exc:
             raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
 
@@ -168,7 +164,7 @@ def build_generator(params: ModelParams) -> LindbladGenerator:
     """Assemble the vectorized Lindblad superoperator, stored sparse."""
     ops = build_operators(params)
     d = ops.dimension
-    rate = params.gamma / params.n_spins
+    rate = 1.0 / params.n_spins
     eye = sparse.identity(d, dtype=complex, format="csr")
     sx = sparse.csr_matrix(ops.sx)
     st = sparse.csr_matrix(ops.s_theta)
@@ -179,7 +175,7 @@ def build_generator(params: ModelParams) -> LindbladGenerator:
         - sparse.kron(std_st, eye)
         - sparse.kron(eye, std_st.T)
     )
-    return LindbladGenerator(params, ops, mat.tocsc(), rate)
+    return LindbladGenerator(params, ops, mat.tocsc())
 
 
 def _normalized_residual(matrix: sparse.csc_matrix, rho: np.ndarray) -> float:
@@ -225,7 +221,7 @@ def _finalize(
 def _deflated_inverse(
     gen: LindbladGenerator, seed: int
 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """x -> P (R - SHIFT*gamma*1)^-1 P x, and a start vector P z.
+    """x -> P (R - SHIFT)^-1 P x, and a start vector P z.
 
     P x = x - rho_ss*tr(x) removes the zero mode: its left eigenvector
     is the trace, its right one rho_ss = gen.null_state. z is drawn
@@ -248,11 +244,11 @@ def _degeneracy_probe(gen: LindbladGenerator, seed: int, steps: int = 6) -> None
 
     With the zero mode deflated only the decaying modes remain. If the
     inverse iteration still amplifies by more than
-    1/(DEGENERACY_TOL*gamma), a second eigenvalue sits within
-    DEGENERACY_TOL*gamma of zero.
+    1/DEGENERACY_TOL, a second eigenvalue sits within DEGENERACY_TOL
+    of zero.
     """
     apply, x = _deflated_inverse(gen, seed)
-    threshold = 1.0 / (DEGENERACY_TOL * gen.params.gamma)
+    threshold = 1.0 / DEGENERACY_TOL
     for _ in range(steps):
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
@@ -264,7 +260,7 @@ def _degeneracy_probe(gen: LindbladGenerator, seed: int, steps: int = 6) -> None
                 "inverse iteration diverged on the deflated space"
             )
         if amp > threshold:
-            lam = SHIFT * gen.params.gamma + 1.0 / amp
+            lam = SHIFT + 1.0 / amp
             raise DegenerateSteadyStateError(
                 f"second Liouvillian mode within {lam:.2e} of zero; "
                 "steady state is not unique at this tolerance"
@@ -274,7 +270,6 @@ def _degeneracy_probe(gen: LindbladGenerator, seed: int, steps: int = 6) -> None
 def _solve_power(gen: LindbladGenerator) -> SteadyState:
     mat = gen.matrix
     d = gen.dimension
-    tol = TOL * gen.params.gamma
     lu = gen.lu
 
     x = _pack(np.eye(d) / d)
@@ -290,13 +285,13 @@ def _solve_power(gen: LindbladGenerator) -> SteadyState:
         if abs(tr) > 1e-12:
             cand = cand / tr
             res = _normalized_residual(mat, cand)
-            if res < tol:
+            if res < TOL:
                 rho = cand
                 break
         x = y
     if rho is None:
         raise ConvergenceError(
-            f"power iteration did not reach residual {tol:.1e} in {MAX_ITER} steps"
+            f"power iteration did not reach residual {TOL:.1e} in {MAX_ITER} steps"
         )
     return _finalize(rho, gen, "power", iteration)
 
@@ -304,8 +299,8 @@ def _solve_power(gen: LindbladGenerator) -> SteadyState:
 def solve_steady_state(gen: LindbladGenerator, *, seed: int = 0) -> SteadyState:
     """Solve L(rho) = 0 for the unique steady state.
 
-    Shift-invert power iteration on (L - SHIFT*gamma*1) until the
-    residual |L(rho)| drops below TOL*gamma, then a degeneracy probe
+    Shift-invert power iteration on (L - SHIFT) until the
+    residual |L(rho)| drops below TOL, then a degeneracy probe
     seeded by `seed`. A degenerate kernel (more than one steady state
     within tolerance) raises DegenerateSteadyStateError instead of
     silently averaging; no convergence within MAX_ITER steps raises
@@ -345,6 +340,6 @@ def liouvillian_spectrum(gen: LindbladGenerator, k: int = 6, *, seed: int = 0) -
         mu = sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)
     except sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
-    modes = SHIFT * gen.params.gamma + 1.0 / mu
+    modes = SHIFT + 1.0 / mu
     vals = np.concatenate(([0j], modes[np.argsort(-modes.real)]))
     return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="arnoldi")

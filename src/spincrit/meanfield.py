@@ -3,9 +3,9 @@
 Everything here comes from expanding the collective spin around its
 mean-field displacement in powers of eps = 1/sqrt(S) (a bosonization of
 the spin fluctuations) and solving the resulting quadratic bosonic
-master equation. Valid only in the ferromagnetic phase
-0 <= omega < omega_c = gamma*cos(2*theta); the thermal phase has no
-controlled expansion and callers are pointed at the exact solver.
+master equation, in units of the collective jump rate. Valid only in
+the ferromagnetic phase 0 <= omega < omega_c = cos(2*theta); the thermal
+phase has no controlled expansion and callers are pointed at the exact solver.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ class HPCoefficients:
     M = sqrt(1 - (omega/omega_c)^2); k = 2 - |beta|^2 = 1 + M. The
     fluctuation mode decays with rates gamma_minus/gamma_plus and
     anomalous coupling eta built from the bare rates
-    big_gamma_minus = gamma*cos^2(theta), big_gamma_plus =
-    gamma*sin^2(theta) and the cross rate gamma*sin(2*theta)/2 (named
-    `cross` here; it multiplies the mixed lowering-raising dissipator).
+    big_gamma_minus = cos^2(theta), big_gamma_plus = sin^2(theta) and the
+    cross rate sin(2*theta)/2 (named `cross` here; it multiplies the
+    mixed lowering-raising dissipator).
     """
 
     params: ModelParams
@@ -124,10 +124,9 @@ def hp_coefficients(params: ModelParams) -> HPCoefficients:
     a = (2.0 * k - (1.0 - m)) / (2.0 * sqrt_k)
     b = -beta_sq / (2.0 * sqrt_k)
 
-    g = params.gamma
-    big_minus = g * math.cos(params.theta) ** 2
-    big_plus = g * math.sin(params.theta) ** 2
-    cross = g * math.sin(2.0 * params.theta) / 2.0
+    big_minus = math.cos(params.theta) ** 2
+    big_plus = math.sin(params.theta) ** 2
+    cross = math.sin(2.0 * params.theta) / 2.0
     gamma_minus = big_minus * a * a + big_plus * b * b + 2.0 * cross * a * b
     gamma_plus = big_plus * a * a + big_minus * b * b + 2.0 * cross * a * b
     eta = a * b * (big_minus + big_plus) + cross * (a * a + b * b)
@@ -206,11 +205,11 @@ def bound_theta(params: ModelParams, n_spins: int) -> float:
     )
 
 
-def optimal_theta(omega: float, gamma: float) -> float:
-    """Angle where the theta-estimation bound is smallest: acos(omega/gamma)/2."""
-    if not 0 < omega <= gamma:
-        raise ValidationError("optimal_theta needs 0 < omega <= gamma")
-    return 0.5 * math.acos(omega / gamma)
+def optimal_theta(omega: float) -> float:
+    """Angle where the theta-estimation bound is smallest: acos(omega)/2."""
+    if not 0 < omega <= 1:
+        raise ValidationError("optimal_theta needs 0 < omega <= 1")
+    return 0.5 * math.acos(omega)
 
 
 def analytic_qfi_chi(params: ModelParams, n_spins: int) -> tuple[float, float]:
@@ -251,7 +250,7 @@ def predictions(params: ModelParams) -> dict:
         "var_sz": signals.var_sz,
         "bound_omega": bound_omega(params, n),
         "bound_theta": bound_theta(params, n) if omega > 0 and params.theta > 0 else None,
-        "optimal_theta": optimal_theta(omega, params.gamma) if omega > 0 else None,
+        "optimal_theta": optimal_theta(omega) if omega > 0 else None,
         "r": gauss.r,
         "sigma11": gauss.sigma11,
         "sigma22": gauss.sigma22,

@@ -44,15 +44,15 @@ class SpinSqueezing:
 def default_fd_step(params: ModelParams, lambda_name: str) -> float:
     """Finite-difference step for d(rho_ss)/d(lambda).
 
-    1e-4 of the natural scale, additionally capped at 5% of the
-    distance to the critical coupling when estimating omega inside the
-    ferromagnetic phase: the steady state is nearly nonanalytic at
-    omega_c and the stencil must not straddle it.
+    1e-4 of the natural scale, capped at 5% of the distance to the
+    critical coupling when estimating omega in the ferromagnetic phase
+    |omega| < omega_c: the steady state, a function of |omega|, is nearly
+    nonanalytic at |omega| = omega_c and the stencil must not straddle it.
     """
     lam = params.omega if lambda_name == "omega" else params.theta
-    h = 1e-4 * max(abs(lam), abs(params.omega_c), 1e-2 * params.gamma)
-    if lambda_name == "omega" and 0 <= params.omega < params.omega_c:
-        h = min(h, 0.05 * (params.omega_c - params.omega))
+    h = 1e-4 * max(abs(lam), abs(params.omega_c), 1e-2)
+    if lambda_name == "omega" and abs(params.omega) < params.omega_c:
+        h = min(h, 0.05 * (params.omega_c - abs(params.omega)))
     return h
 
 

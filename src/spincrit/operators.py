@@ -9,7 +9,7 @@ particles, which the collective dynamics never leaves, so everything is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -27,18 +27,18 @@ TRACE_TOL = 1e-8
 class ModelParams:
     """Physical knobs of the driven, collectively decaying spin ensemble.
 
-    omega is the coherent drive amplitude, gamma the collective jump
-    rate, and theta the squeezing angle mixing lowering and raising
+    omega is the coherent drive amplitude in units of the collective
+    jump rate, and theta the squeezing angle mixing lowering and raising
     parts in the jump operator cos(theta)*S- + sin(theta)*S+.
 
     The spin length s = N/2 and the critical coupling
-    omega_c = gamma*cos(2*theta) are derived properties, always
-    recomputed so they cannot drift out of sync with gamma and theta.
+    omega_c = cos(2*theta) are derived properties, always recomputed so
+    they cannot drift out of sync with theta.
     """
 
     n_spins: int
     omega: float
-    gamma: float = 1.0
+    _: KW_ONLY
     theta: float = 0.0
 
     def __post_init__(self) -> None:
@@ -46,8 +46,6 @@ class ModelParams:
             raise ValidationError(f"n_spins must be a positive integer, got {self.n_spins!r}")
         if not math.isfinite(self.omega):
             raise ValidationError(f"omega must be finite, got {self.omega!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValidationError(f"gamma must be positive, got {self.gamma!r}")
         if not (0.0 <= self.theta < math.pi / 2):
             raise ValidationError(f"theta must lie in [0, pi/2), got {self.theta!r}")
 
@@ -57,7 +55,7 @@ class ModelParams:
 
     @property
     def omega_c(self) -> float:
-        return self.gamma * math.cos(2 * self.theta)
+        return math.cos(2 * self.theta)
 
     @property
     def dimension(self) -> int:

@@ -1,7 +1,7 @@
 """Brute-force references that the solver is tested against.
 
 The dense SVD costs O((N+1)^6) and the relaxation runs RK45 for up to
-t = 4000/gamma, so both are for small N only. The parity-block spectrum
+t = 4000 (in units of the inverse collective rate), so both are for small N only. The parity-block spectrum
 is a dense eigvals split in two, for N up to a few tens. The package
 itself integrates no dynamics; relax() here is the only integrator.
 """
@@ -51,19 +51,18 @@ def relax(gen, rho, t, *, t_eval=None, rtol=1e-8, atol=1e-12):
 
 
 def evolve_to_steady(gen):
-    """Relax the maximally mixed state until |L(rho)| < 1e-10*gamma.
+    """Relax the maximally mixed state until |L(rho)| < 1e-10.
 
-    Integrates in chunks of 25/gamma up to t = 4000/gamma; the
-    tolerances put the integrator's noise floor below that residual.
+    Integrates in chunks of t = 25 up to t = 4000; the tolerances put
+    the integrator's noise floor below that residual.
     """
-    gamma = gen.params.gamma
     d = gen.dimension
     rho = np.eye(d, dtype=complex) / d
     for _ in range(160):
-        rho = relax(gen, rho, 25.0 / gamma, rtol=1e-11, atol=1e-15)[1][-1]
-        if np.linalg.norm(gen.matrix @ rho.reshape(-1)) < 1e-10 * gamma:
+        rho = relax(gen, rho, 25.0, rtol=1e-11, atol=1e-15)[1][-1]
+        if np.linalg.norm(gen.matrix @ rho.reshape(-1)) < 1e-10:
             return rho
-    raise AssertionError("no residual below 1e-10*gamma by t = 4000/gamma")
+    raise AssertionError("no residual below 1e-10 by t = 4000")
 
 
 def parity_block_spectrum(gen):

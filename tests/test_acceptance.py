@@ -21,10 +21,10 @@ GRID_13 = np.linspace(0.05, 0.65, 13)
 _CACHE: dict = {}
 
 
-def solve_cached(n, omega, theta=PI8, gamma=1.0):
-    key = (n, round(float(omega), 14), round(float(theta), 14), gamma)
+def solve_cached(n, omega, theta=PI8):
+    key = (n, round(float(omega), 14), round(float(theta), 14))
     if key not in _CACHE:
-        params = sc.ModelParams(n, float(omega), gamma, float(theta))
+        params = sc.ModelParams(n, float(omega), theta=float(theta))
         _CACHE[key] = sc.solve_steady_state(sc.build_generator(params))
     return _CACHE[key]
 
@@ -43,7 +43,7 @@ def test_criterion_1_steady_magnetization_matches_mean_field():
     start = time.time()
     rows = []
     for omega in GRID_13:
-        params = sc.ModelParams(100, float(omega), 1.0, PI8)
+        params = sc.ModelParams(100, float(omega), theta=PI8)
         steady = solve_cached(100, omega)
         sz = sc.expectation(normalized_sz(params), steady.rho)
         target = -math.sqrt(1.0 - (omega / OMEGA_C) ** 2)
@@ -67,7 +67,7 @@ def test_criterion_2_steady_variance_matches_mean_field():
     for omega in GRID_13:
         if omega > 0.8 * OMEGA_C + 1e-12:
             continue
-        params = sc.ModelParams(100, float(omega), 1.0, PI8)
+        params = sc.ModelParams(100, float(omega), theta=PI8)
         steady = solve_cached(100, omega)
         exact = math.sqrt(sc.variance(normalized_sz(params), steady.rho))
         predicted = math.sqrt(
@@ -92,7 +92,7 @@ def test_criterion_3_error_propagation_tracks_bound_and_decreases():
     for omega in GRID_13:
         if not (0.1 * OMEGA_C - 1e-12 <= omega <= 0.8 * OMEGA_C + 1e-12):
             continue
-        params = sc.ModelParams(100, float(omega), 1.0, PI8)
+        params = sc.ModelParams(100, float(omega), theta=PI8)
         step = sc.default_fd_step(params, "omega")
         numeric = sc.error_propagation(
             normalized_sz(params),
@@ -124,7 +124,7 @@ def test_criterion_4_critical_qfi_scaling():
     ns = (20, 40, 60, 80, 100, 120)
     qfis = []
     for n in ns:
-        params = sc.ModelParams(n, OMEGA_C, 1.0, PI8)
+        params = sc.ModelParams(n, OMEGA_C, theta=PI8)
         step = sc.default_fd_step(params, "omega")
         qfis.append(
             sc.qfi_steady(
@@ -145,11 +145,11 @@ def test_criterion_4_critical_qfi_scaling():
 
 
 def test_criterion_5_theta_bound_minimum_near_optimal_angle():
-    target = sc.optimal_theta(0.5, 1.0)  # pi/6
+    target = sc.optimal_theta(0.5)  # pi/6
     thetas = np.arange(0.43, 0.6051, 0.0125)
     bounds = []
     for theta in thetas:
-        params = sc.ModelParams(100, 0.5, 1.0, float(theta))
+        params = sc.ModelParams(100, 0.5, theta=float(theta))
         step = sc.default_fd_step(params, "theta")
         bounds.append(
             sc.error_propagation(
@@ -175,7 +175,7 @@ def test_criterion_5_theta_bound_minimum_near_optimal_angle():
 def test_criterion_6_perturbed_scheme_chi_squared():
     # fixed point against the closed form
     omega = 0.5 * OMEGA_C
-    params = sc.ModelParams(100, omega, 1.0, PI8)
+    params = sc.ModelParams(100, omega, theta=PI8)
     steady = solve_cached(100, omega)
     m = math.sqrt(1.0 - 0.25)
     direction = np.array([0.0, m, math.sqrt(1.0 - m * m)])
@@ -188,7 +188,7 @@ def test_criterion_6_perturbed_scheme_chi_squared():
     ns = (20, 40, 60, 80, 100, 120)
     chis = []
     for n in ns:
-        par = sc.ModelParams(n, OMEGA_C, 1.0, PI8)
+        par = sc.ModelParams(n, OMEGA_C, theta=PI8)
         sz = np.asarray(sc.build_operators(par).sz)
         chis.append(sc.chi_squared(sc.qfi_perturbed(solve_cached(n, OMEGA_C), sz), n))
     fit = sc.fit_power_law(ns, chis)
@@ -216,7 +216,7 @@ def test_criterion_7_small_system_oracles():
         theta = float(rng.uniform(0.05, 0.6))
         if abs(theta - math.pi / 4) < 0.05:
             theta = 0.62
-        params = sc.ModelParams(2, float(rng.uniform(0.1, 0.6)), 1.0, theta)
+        params = sc.ModelParams(2, float(rng.uniform(0.1, 0.6)), theta=theta)
         solver = sc.steady_solver(params, "omega")
         h = 1e-3
         qfi = sc.qfi_steady(solver, params.omega, step=h)
@@ -247,13 +247,13 @@ def test_criterion_8_exact_identities():
     worst_det = 0.0
     for _ in range(20):
         theta = float(rng.uniform(0.0, math.pi / 4 - 0.05))
-        gamma = float(rng.uniform(0.3, 2.5))
-        oc = gamma * math.cos(2 * theta)
-        params = sc.ModelParams(30, float(rng.uniform(0.02, 0.9)) * oc, gamma, theta)
+        rng.uniform(0.3, 2.5)  # unused draw, kept so the seeded points do not move
+        oc = math.cos(2 * theta)
+        params = sc.ModelParams(30, float(rng.uniform(0.02, 0.9)) * oc, theta=theta)
         gauss = sc.gaussian_steady_state(sc.hp_coefficients(params))
         worst_det = max(worst_det, abs(gauss.sigma11 * gauss.sigma22 - 1.0))
 
-    params = sc.ModelParams(20, 0.0, 1.0, 0.0)
+    params = sc.ModelParams(20, 0.0, theta=0.0)
     steady = sc.solve_steady_state(sc.build_generator(params))
     ops = sc.build_operators(params)
     chi2 = sc.chi_squared(sc.qfi_perturbed(steady, np.asarray(ops.sx)), 20)

@@ -14,8 +14,9 @@ import spincrit.harness
 import spincrit.liouvillian
 
 from spincrit import (
+    ConvergenceError,
+    DegenerateSteadyStateError,
     ModelParams,
-    SolverError,
     SweepSpec,
     ValidationError,
     fit_power_law,
@@ -33,6 +34,7 @@ from spincrit.harness import (
     csv_columns,
     render_sweep,
     resolve_generator,
+    row_error,
 )
 
 PI8 = math.pi / 8
@@ -41,7 +43,6 @@ PI8 = math.pi / 8
 def small_spec(**overrides):
     base = dict(
         n_spins=8,
-        gamma=1.0,
         theta=PI8,
         axis="omega",
         values=(0.1, 0.3),
@@ -168,7 +169,7 @@ class TestRunSweep:
         monkeypatch.setattr(spincrit.liouvillian, "splu", counting_splu)
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
         spec = small_spec(n_spins=20, values=(0.35,), tasks=KNOWN_TASKS)
-        report = compute_report(ModelParams(20, 0.35, 1.0, PI8), spec)
+        report = compute_report(ModelParams(20, 0.35, theta=PI8), spec)
         assert report["gap"] > 0 and report["qfi_steady"] > 0
         # the centre and the two finite-difference points; the gap reuses the centre
         assert len(splu_calls) == 3
@@ -191,7 +192,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(spincrit.liouvillian, "splu", tracked_splu)
         spec = small_spec(n_spins=20, values=(0.35,), tasks=KNOWN_TASKS)
-        compute_report(ModelParams(20, 0.35, 1.0, PI8), spec)
+        compute_report(ModelParams(20, 0.35, theta=PI8), spec)
         assert alive_at_call == [0, 0, 0]
 
     def test_negative_omega_mirrors_positive_omega(self):
@@ -224,8 +225,21 @@ class TestRunSweep:
 
     def test_all_rows_failed_raises(self):
         spec = small_spec(axis="theta", values=(1.6, 1.65), tasks=("signals",))
-        with pytest.raises(SolverError):
+        with pytest.raises(ValidationError, match="all 2 sweep rows failed; first error: "):
             run_sweep(spec)
+
+    def test_all_rows_failed_in_the_solver_raises_the_solver_error(self):
+        spec = small_spec(n_spins=6, theta=math.pi / 4, tasks=("signals",))
+        with pytest.raises(DegenerateSteadyStateError):
+            run_sweep(spec)
+
+    def test_row_error_takes_the_class_its_cell_names(self):
+        rows = [{"error": "ConvergenceError: slow"}, {"error": "LinAlgError: singular"}]
+        error = row_error(rows, "2 rows failed")
+        assert type(error) is ConvergenceError
+        assert str(error) == "2 rows failed: ConvergenceError: slow"
+        # any other class _run_point caught is a ValueError, which exits 1
+        assert type(row_error(rows[1:], "1 row failed")) is ValueError
 
     def test_full_task_set(self):
         spec = small_spec(
@@ -302,7 +316,7 @@ class TestOutput:
 
 class TestResolveGenerator:
     def test_named_generators(self):
-        params = ModelParams(4, 0.2, 1.0, PI8)
+        params = ModelParams(4, 0.2, theta=PI8)
         from spincrit import build_operators
 
         ops = build_operators(params)
@@ -311,7 +325,7 @@ class TestResolveGenerator:
         np.testing.assert_allclose(mat, ops.sx)
 
     def test_optimal_uses_mean_field_direction(self):
-        params = ModelParams(4, 0.5 * math.cos(2 * PI8), 1.0, PI8)
+        params = ModelParams(4, 0.5 * math.cos(2 * PI8), theta=PI8)
         from spincrit import build_operators
 
         ops = build_operators(params)
@@ -321,14 +335,14 @@ class TestResolveGenerator:
         np.testing.assert_allclose(mat, expected, atol=1e-12)
 
     def test_optimal_degrades_to_sz_at_critical(self):
-        params = ModelParams(4, math.cos(2 * PI8), 1.0, PI8)
+        params = ModelParams(4, math.cos(2 * PI8), theta=PI8)
         from spincrit import build_operators
 
         mat = resolve_generator("optimal", params)
         np.testing.assert_allclose(mat, build_operators(params).sz, atol=1e-12)
 
     def test_custom_direction_normalized(self):
-        params = ModelParams(4, 0.2, 1.0, PI8)
+        params = ModelParams(4, 0.2, theta=PI8)
         mat = resolve_generator("0,3,4", params)
         from spincrit import build_operators
 
@@ -454,6 +468,14 @@ class TestCli:
         config.write_text("jobs = 2\n")
         assert cli_main(MINIMAL_ARGV["steady"] + ["--config", str(config)]) == 1
         assert "unrecognized arguments: --jobs=2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, meta", [("false", True), ("False", True), ("true", False)])
+    def test_config_switch_set_to_false_stays_off(self, tmp_path, capsys, value, meta):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"no-meta = {value}\n")
+        argv = ["steady", "--n", "4", "--omega", "0.1", "--tasks", "signals"]
+        assert cli_main(argv + ["--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("# spincrit sweep") == meta
 
     def test_config_list_may_start_with_a_minus_sign(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -620,6 +642,31 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"unknown generator {direction!r}; use sz | optimal | x | nx,ny,nz" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "6", "--theta", "2", "--values", "0.1,0.2", "--tasks", "signals"],
+            ["sweep", "--n", "0", "--values", "0.1,0.2", "--tasks", "signals"],
+            ["sweep", "--n", "3000", "--values", "0.1,0.2", "--tasks", "signals"],
+            ["scaling", "--n-list", "4,6,8,10", "--omega", "0.2", "--lambda", "theta"],
+            ["scaling", "--n-list", "4,6,8,3000", "--omega", "0.2", "--theta", "0.3"],
+        ],
+    )
+    def test_rows_failing_validation_exit_one(self, capsys, argv):
+        # as steady does at one point: a failed row keeps its error's class
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and ": ValidationError: " in captured.err
+
+    def test_sweep_rows_failing_in_the_solver_exit_two(self, capsys):
+        argv = ["sweep", "--n", "6", "--theta", repr(math.pi / 4), "--values", "0.1,0.2",
+                "--tasks", "signals"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "solver error: all 2 sweep rows failed; first error: DegenerateSteadyStateError: "
+        )
+
     def test_solver_failure_exits_two(self, capsys):
         # theta = pi/4 has a degenerate kernel, a solver-level failure
         code = cli_main(
@@ -650,6 +697,37 @@ class TestCli:
         assert code == 0
         assert payload["omega_over_gamma"] == pytest.approx(0.5)
         assert payload["m"] == pytest.approx(0.7071067811865476, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "command, grid",
+        [
+            ("steady", ["--tasks", "signals,bounds,qfi_steady,qfi_perturbed,chi2,xi2,gap"]),
+            ("sweep", ["--axis", "theta", "--values", "0.1,0.3",
+                       "--tasks", "signals,bounds,qfi_steady,gap,meanfield"]),
+        ],
+    )
+    def test_gamma_enters_only_as_omega_over_gamma(self, capsys, command, grid):
+        # below the CLI the collective rate is the unit: --gamma 2 --omega 0.7
+        # is the point --omega 0.35
+        outputs = []
+        for drive in (["--gamma", "2", "--omega", "0.7"], ["--omega", "0.35"]):
+            argv = [command, "--n", "8", "--theta", "0.3927", *drive, *grid, "--no-meta"]
+            assert cli_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].split(",")[1] == "0.35"
+
+    def test_mirror_rows_agree_next_to_the_critical_coupling(self, capsys):
+        rows = []
+        for frac in ("0.9999", "-0.9999"):
+            argv = ["steady", "--n", "40", f"--omega-frac={frac}", "--theta", "0.3927",
+                    "--tasks", "qfi_steady,bounds", "--format", "json"]
+            assert cli_main(argv) == 0
+            rows.append(json.loads(capsys.readouterr().out)[0])
+        above, below = rows
+        assert below["omega_over_gamma"] == -above["omega_over_gamma"]
+        for col in ("qfi_steady", "eprop_sy", "eprop_sz"):
+            assert below[col] == pytest.approx(above[col], rel=1e-9), col
 
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

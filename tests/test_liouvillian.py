@@ -34,7 +34,7 @@ def master_rhs(params, ops, rho):
     Kronecker-product construction used by build_generator."""
     st = ops.s_theta
     std = st.conj().T
-    rate = params.gamma / params.n_spins
+    rate = 1.0 / params.n_spins
     return -1j * params.omega * (ops.sx @ rho - rho @ ops.sx) + rate * (
         2 * st @ rho @ std - std @ st @ rho - rho @ std @ st
     )
@@ -54,7 +54,7 @@ def random_density(rng, dim):
 class TestGenerator:
     def test_single_spin_decay_action(self):
         # by hand: 2 sm |up><up| sp - {sp sm, |up><up|} = 2|dn><dn| - 2|up><up|
-        gen = build_generator(ModelParams(1, 0.0, 1.0, 0.0))
+        gen = build_generator(ModelParams(1, 0.0, theta=0.0))
         excited = np.array([[0, 0], [0, 1]], dtype=complex)
         expected = np.array([[2, 0], [0, -2]], dtype=complex)
         np.testing.assert_allclose(gen.apply(excited), expected, atol=1e-14)
@@ -62,10 +62,10 @@ class TestGenerator:
     @pytest.mark.parametrize(
         "params",
         [
-            ModelParams(1, 0.0, 1.0, 0.0),
-            ModelParams(4, 0.3, 1.0, math.pi / 8),
-            ModelParams(6, 0.7, 2.3, 0.5),
-            ModelParams(3, 0.0, 0.4, math.pi / 4),
+            ModelParams(1, 0.0, theta=0.0),
+            ModelParams(4, 0.3, theta=math.pi / 8),
+            ModelParams(6, 0.7 / 2.3, theta=0.5),
+            ModelParams(3, 0.0, theta=math.pi / 4),
         ],
     )
     def test_matches_direct_master_equation_action(self, params):
@@ -80,7 +80,7 @@ class TestGenerator:
 
     def test_dark_state_is_annihilated(self):
         for n in (1, 4, 9):
-            gen = build_generator(ModelParams(n, 0.0, 1.0, 0.0))
+            gen = build_generator(ModelParams(n, 0.0, theta=0.0))
             rho = np.zeros((n + 1, n + 1), dtype=complex)
             rho[0, 0] = 1.0
             assert np.abs(gen.apply(rho)).max() < 1e-14
@@ -88,17 +88,13 @@ class TestGenerator:
     def test_trace_and_hermiticity_preservation(self):
         # the adjoint identity L(rho')' = L(rho) must hold for general
         # (non-Hermitian) inputs, not just for density matrices
-        gen = build_generator(ModelParams(8, 0.4, 1.0, math.pi / 8))
+        gen = build_generator(ModelParams(8, 0.4, theta=math.pi / 8))
         rng = np.random.default_rng(5)
         for _ in range(20):
             rho = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
             out = gen.apply(rho)
             assert abs(np.trace(out)) <= 1e-10 * np.linalg.norm(rho)
             assert np.abs(gen.apply(rho.conj().T).conj().T - out).max() <= 1e-10 * np.linalg.norm(rho)
-
-    def test_collapse_rate(self):
-        gen = build_generator(ModelParams(10, 0.2, 3.0, 0.1))
-        assert gen.collapse_rate == pytest.approx(0.3)
 
 
 class TestRealCoordinates:
@@ -110,7 +106,7 @@ class TestRealCoordinates:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_real_form_has_the_spectrum_of_l(self, n):
-        gen = build_generator(ModelParams(n, 0.3, 1.0, 0.35))
+        gen = build_generator(ModelParams(n, 0.3, theta=0.35))
         to_vec, to_real = spincrit.liouvillian._hermitian_coordinates(gen.dimension)
         real_form = (to_real @ gen.matrix @ to_vec).toarray()
         assert np.abs(real_form.imag).max() == 0.0
@@ -120,13 +116,13 @@ class TestRealCoordinates:
         assert np.abs(ours[rows] - dense[cols]).max() <= 1e-10
 
     def test_lu_solves_in_real_arithmetic(self):
-        gen = build_generator(ModelParams(6, 0.3, 1.0, 0.35))
+        gen = build_generator(ModelParams(6, 0.3, theta=0.35))
         assert gen.lu.solve(np.ones(gen.dimension**2)).dtype == np.float64
 
 
 class TestSteadyState:
     def test_undriven_dark_state(self):
-        params = ModelParams(10, 0.0, 1.0, 0.0)
+        params = ModelParams(10, 0.0, theta=0.0)
         steady = solve_steady_state(build_generator(params))
         assert steady.rho[0, 0].real == pytest.approx(1.0, abs=1e-10)
         assert steady.purity == pytest.approx(1.0, abs=1e-10)
@@ -136,20 +132,20 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("n", [2, 6, 14])
     def test_invariants(self, n):
-        params = ModelParams(n, 0.45, 1.3, math.pi / 8)
+        params = ModelParams(n, 0.45 / 1.3, theta=math.pi / 8)
         steady = solve_steady_state(build_generator(params))
         assert abs(np.trace(steady.rho) - 1.0) <= 1e-10
         assert np.abs(steady.rho - steady.rho.conj().T).max() <= 1e-10
         assert steady.populations.min() >= 0.0
         assert steady.populations.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.diff(steady.populations) <= 0)
-        assert steady.residual <= 1e-9 * params.gamma
+        assert steady.residual <= 1e-9
 
     def test_dense_null_oracle_at_n2(self):
         # brute-force oracle: assemble the 9x9 superoperator column by
         # column from the direct master-equation action and take its SVD
         # null vector
-        params = ModelParams(2, 0.37, 1.0, math.pi / 8)
+        params = ModelParams(2, 0.37, theta=math.pi / 8)
         ops = build_operators(params)
         cols = []
         for j in range(9):
@@ -167,30 +163,30 @@ class TestSteadyState:
         assert trace_distance(steady.rho, rho_oracle) < 1e-10
 
     def test_power_and_null_paths_agree(self):
-        gen = build_generator(ModelParams(12, 0.3, 1.0, 0.35))
+        gen = build_generator(ModelParams(12, 0.3, theta=0.35))
         steady = solve_steady_state(gen)
         assert steady.method == "power"
         assert trace_distance(steady.rho, dense_null_steady(gen)) < 1e-9
 
     def test_evolve_path_agrees(self):
-        gen = build_generator(ModelParams(8, 0.3, 1.0, math.pi / 8))
+        gen = build_generator(ModelParams(8, 0.3, theta=math.pi / 8))
         assert trace_distance(solve_steady_state(gen).rho, evolve_to_steady(gen)) < 1e-7
 
     def test_degenerate_kernel_raises(self):
         # theta = pi/4 makes the jump operator proportional to Sx, so
         # every function of Sx is steady: an (N+1)-dimensional kernel
-        params = ModelParams(6, 0.4, 1.0, math.pi / 4)
+        params = ModelParams(6, 0.4, theta=math.pi / 4)
         gen = build_generator(params)
         with pytest.raises(DegenerateSteadyStateError):
             solve_steady_state(gen)
         assert len(dense_null_space(gen)) == params.dimension
 
     def test_probe_threshold_brackets_a_closing_gap(self):
-        # near theta = pi/4 the gap closes: 6.5e-7 gamma lies inside
-        # DEGENERACY_TOL, 6.5e-5 gamma outside it
+        # near theta = pi/4 the gap closes: 6.5e-7 lies inside
+        # DEGENERACY_TOL, 6.5e-5 outside it
         with pytest.raises(DegenerateSteadyStateError):
-            solve_steady_state(build_generator(ModelParams(50, 0.3, 1.0, math.pi / 4 - 1e-3)))
-        steady = solve_steady_state(build_generator(ModelParams(50, 0.3, 1.0, math.pi / 4 - 1e-2)))
+            solve_steady_state(build_generator(ModelParams(50, 0.3, theta=math.pi / 4 - 1e-3)))
+        steady = solve_steady_state(build_generator(ModelParams(50, 0.3, theta=math.pi / 4 - 1e-2)))
         assert steady.residual <= 1e-9
 
     def test_one_power_iteration_per_generator(self, monkeypatch):
@@ -202,7 +198,7 @@ class TestSteadyState:
             return solve_power(gen)
 
         monkeypatch.setattr(spincrit.liouvillian, "_solve_power", counted)
-        gen = build_generator(ModelParams(12, 0.3, 1.0, math.pi / 8))
+        gen = build_generator(ModelParams(12, 0.3, theta=math.pi / 8))
         first = solve_steady_state(gen)
         second = solve_steady_state(gen, seed=1)
         liouvillian_spectrum(gen, k=2)
@@ -220,14 +216,14 @@ class TestSteadyState:
 
     def test_non_convergence_raises_without_fallback(self, monkeypatch, caplog):
         monkeypatch.setattr(spincrit.liouvillian, "MAX_ITER", 0)
-        gen = build_generator(ModelParams(4, 0.3, 1.0, math.pi / 8))
+        gen = build_generator(ModelParams(4, 0.3, theta=math.pi / 8))
         with caplog.at_level(logging.DEBUG, logger="spincrit"):
             with pytest.raises(ConvergenceError, match="did not reach residual"):
                 solve_steady_state(gen)
         assert caplog.records == []
 
     def test_steady_state_pickles_without_lu(self):
-        gen = build_generator(ModelParams(10, 0.3, 1.0, math.pi / 8))
+        gen = build_generator(ModelParams(10, 0.3, theta=math.pi / 8))
         steady = solve_steady_state(gen)
         clone = pickle.loads(pickle.dumps(steady))
         np.testing.assert_array_equal(clone.rho, steady.rho)
@@ -240,7 +236,7 @@ class TestSpectrum:
     def test_single_spin_spectrum(self):
         # hand diagonalization: populations relax at 2*Gamma, coherences
         # at Gamma, plus the zero mode
-        gen = build_generator(ModelParams(1, 0.0, 1.0, 0.0))
+        gen = build_generator(ModelParams(1, 0.0, theta=0.0))
         report = liouvillian_spectrum(gen, k=4)
         np.testing.assert_allclose(
             sorted(report.eigenvalues.real), [-2.0, -1.0, -1.0, 0.0], atol=1e-10
@@ -248,27 +244,22 @@ class TestSpectrum:
         assert np.abs(report.eigenvalues.imag).max() < 1e-10
         assert report.gap == pytest.approx(1.0, abs=1e-10)
 
-    def test_gamma_scaling(self):
-        gen = build_generator(ModelParams(1, 0.0, 0.7, 0.0))
-        report = liouvillian_spectrum(gen, k=4)
-        assert report.gap == pytest.approx(0.7, abs=1e-10)
-
     def test_zero_mode_present(self):
-        for params in (ModelParams(5, 0.4, 1.0, 0.3), ModelParams(8, 0.9, 1.0, 0.1)):
+        for params in (ModelParams(5, 0.4, theta=0.3), ModelParams(8, 0.9, theta=0.1)):
             gen = build_generator(params)
             report = liouvillian_spectrum(gen, k=3)
-            assert abs(report.eigenvalues[0].real) <= 1e-9 * params.gamma
+            assert abs(report.eigenvalues[0].real) <= 1e-9
 
     def test_gap_shrinks_with_n_at_critical(self):
         theta = math.pi / 8
         gaps = []
         for n in (8, 16, 32):
-            params = ModelParams(n, math.cos(2 * theta), 1.0, theta)
+            params = ModelParams(n, math.cos(2 * theta), theta=theta)
             gaps.append(liouvillian_spectrum(build_generator(params), k=2).gap)
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
     def test_iterative_matches_dense(self):
-        params = ModelParams(12, 0.4, 1.0, math.pi / 8)
+        params = ModelParams(12, 0.4, theta=math.pi / 8)
         gen = build_generator(params)
         dense = scipy.linalg.eigvals(gen.matrix.toarray())
         dense = dense[np.argsort(-dense.real)][:4]
@@ -289,7 +280,7 @@ class TestSpectrum:
     def test_deflated_gap_matches_dense_oracle(self, n, theta):
         omega_c = math.cos(2 * theta)
         for frac in (0.05, 0.5, 0.9, 1.0, 1.1, 1.5, 3.0):
-            gen = build_generator(ModelParams(n, frac * omega_c, 1.0, theta))
+            gen = build_generator(ModelParams(n, frac * omega_c, theta=theta))
             oracle = -sorted(parity_block_spectrum(gen).real)[-2]
             report = liouvillian_spectrum(gen, k=2)
             assert report.method == "arnoldi"
@@ -297,7 +288,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_parity_block_oracle_has_the_spectrum_of_l(self, n):
-        gen = build_generator(ModelParams(n, 0.3, 1.0, 0.35))
+        gen = build_generator(ModelParams(n, 0.3, theta=0.35))
         blocks = parity_block_spectrum(gen)
         dense = scipy.linalg.eigvals(gen.matrix.toarray())
         rows, cols = scipy.optimize.linear_sum_assignment(np.abs(blocks[:, None] - dense[None, :]))
@@ -306,19 +297,19 @@ class TestSpectrum:
 
     def test_degenerate_kernel_gap_closes_without_raising(self):
         # jump operator proportional to Sx: every Sx-diagonal state is steady
-        gen = build_generator(ModelParams(20, 0.0, 1.0, math.pi / 4))
+        gen = build_generator(ModelParams(20, 0.0, theta=math.pi / 4))
         report = liouvillian_spectrum(gen, k=2)
         assert report.method == "arnoldi"
         assert abs(report.gap) <= 1e-10
 
     def test_gap_is_deterministic_for_a_seed(self):
-        gen = build_generator(ModelParams(30, 0.35, 1.0, math.pi / 8))
+        gen = build_generator(ModelParams(30, 0.35, theta=math.pi / 8))
         first = liouvillian_spectrum(gen, k=2, seed=3).gap
         second = liouvillian_spectrum(gen, k=2, seed=3).gap
         assert first == second
 
     def test_gap_reuses_the_steady_state_factor(self):
-        params = ModelParams(30, 0.35, 1.0, math.pi / 8)
+        params = ModelParams(30, 0.35, theta=math.pi / 8)
         gen = build_generator(params)
         steady = solve_steady_state(gen)
         lu = gen.lu
@@ -334,7 +325,7 @@ class TestEvolve:
         # closed-form cascade from the fully excited state at theta=0:
         # p(+1) = e^{-2 G t}, p(0) = 2 G t e^{-2 G t}, so
         # <S_z>(t) = (2 + 2 G t) e^{-2 G t} - 1
-        params = ModelParams(2, 0.0, 1.0, 0.0)
+        params = ModelParams(2, 0.0, theta=0.0)
         gen = build_generator(params)
         rho0 = np.zeros((3, 3), dtype=complex)
         rho0[2, 2] = 1.0
@@ -347,7 +338,7 @@ class TestEvolve:
         assert np.all(np.diff(measured) < 0)
 
     def test_relaxes_to_steady_state(self):
-        params = ModelParams(8, 0.35, 1.0, math.pi / 8)
+        params = ModelParams(8, 0.35, theta=math.pi / 8)
         gen = build_generator(params)
         steady = solve_steady_state(gen)
         rho0 = np.eye(9, dtype=complex) / 9
@@ -356,7 +347,7 @@ class TestEvolve:
 
     def test_uniqueness_across_initial_states(self):
         rng = np.random.default_rng(17)
-        params = ModelParams(8, 0.3, 1.0, math.pi / 8)
+        params = ModelParams(8, 0.3, theta=math.pi / 8)
         gen = build_generator(params)
         finals = [
             relax(gen, random_density(rng, 9), 150.0, rtol=1e-9, atol=1e-13)[1][-1]
@@ -365,7 +356,7 @@ class TestEvolve:
         assert max(trace_distance(f, finals[0]) for f in finals[1:]) < 1e-6
 
     def test_positivity_along_trajectory(self):
-        params = ModelParams(6, 0.5, 1.0, 0.3)
+        params = ModelParams(6, 0.5, theta=0.3)
         gen = build_generator(params)
         rho0 = np.zeros((7, 7), dtype=complex)
         rho0[6, 6] = 1.0

@@ -54,14 +54,14 @@ def pure_family(angle_scale=1.0, dim=5):
 
 class TestErrorPropagation:
     def test_flat_signal_is_flagged_infinite(self):
-        params = ModelParams(6, 0.0, 1.0, 0.0)
+        params = ModelParams(6, 0.0, theta=0.0)
         steady = solve_steady_state(build_generator(params))
         constant = lambda lam: steady  # noqa: E731
         ops = build_operators(params)
         assert error_propagation(np.asarray(ops.sx), constant, 0.3, 1e-4) == math.inf
 
     def test_tracks_closed_form_bound(self):
-        params = ModelParams(60, 0.25, 1.0, PI8)
+        params = ModelParams(60, 0.25, theta=PI8)
         solver = steady_solver(params, "omega")
         step = default_fd_step(params, "omega")
         szn = np.asarray(build_operators(params).sz) / params.s
@@ -71,7 +71,7 @@ class TestErrorPropagation:
         assert numeric >= analytic  # finite size only degrades the bound
 
     def test_validation(self):
-        params = ModelParams(4, 0.2, 1.0, PI8)
+        params = ModelParams(4, 0.2, theta=PI8)
         solver = steady_solver(params, "omega")
         ops = build_operators(params)
         with pytest.raises(ValidationError):
@@ -84,7 +84,7 @@ class TestErrorPropagation:
         # approaches (omega_c^2)^{1/4}(sqrt(G-)+sqrt(G+))/sqrt(N) from above
         rels = []
         for n in (40, 80):
-            params = ModelParams(n, 0.0, 1.0, PI8)
+            params = ModelParams(n, 0.0, theta=PI8)
             solver = steady_solver(params, "omega")
             syn = np.asarray(build_operators(params).sy) / params.s
             numeric = error_propagation(
@@ -95,7 +95,7 @@ class TestErrorPropagation:
         assert rels[1] < rels[0] < 0.15
 
     def test_solver_failure_at_shifted_point_propagates(self):
-        params = ModelParams(4, 0.2, 1.0, PI8)
+        params = ModelParams(4, 0.2, theta=PI8)
         ops = build_operators(params)
 
         def fragile(lam):
@@ -119,7 +119,7 @@ class TestQfiSteady:
             theta = rng.uniform(0.05, 0.6)
             if abs(theta - math.pi / 4) < 0.05:
                 theta = 0.6
-            params = ModelParams(2, rng.uniform(0.1, 0.6), 1.0, theta)
+            params = ModelParams(2, rng.uniform(0.1, 0.6), theta=theta)
             solver = steady_solver(params, "omega")
             h = 1e-3
             value = qfi_steady(solver, params.omega, step=h)
@@ -127,7 +127,7 @@ class TestQfiSteady:
             assert value == pytest.approx(oracle, rel=1e-4)
 
     def test_step_halving_is_stable(self):
-        params = ModelParams(6, 0.3, 1.0, PI8)
+        params = ModelParams(6, 0.3, theta=PI8)
         solver = steady_solver(params, "omega")
         step = default_fd_step(params, "omega")
         coarse = qfi_steady(solver, params.omega, step=step)
@@ -135,13 +135,13 @@ class TestQfiSteady:
         assert fine == pytest.approx(coarse, rel=1e-6)
 
     def test_monotone_growth_towards_critical(self):
-        params = ModelParams(60, 0.0, 1.0, PI8)
+        params = ModelParams(60, 0.0, theta=PI8)
         oc = params.omega_c
         solver = steady_solver(params, "omega")
         values = []
         for frac in np.linspace(0.1, 0.85, 10):
             omega = float(frac * oc)
-            probe = ModelParams(60, omega, 1.0, PI8)
+            probe = ModelParams(60, omega, theta=PI8)
             values.append(qfi_steady(solver, omega, step=default_fd_step(probe, "omega")))
         assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -153,7 +153,7 @@ class TestQfiSteady:
 
 class TestQfiPerturbed:
     def test_rank_one_equals_four_variances(self):
-        params = ModelParams(8, 0.0, 1.0, 0.0)
+        params = ModelParams(8, 0.0, theta=0.0)
         steady = solve_steady_state(build_generator(params))
         ops = build_operators(params)
         rng = np.random.default_rng(3)
@@ -168,7 +168,7 @@ class TestQfiPerturbed:
         assert qfi_perturbed(state, gen_mat) == pytest.approx(0.0, abs=1e-12)
 
     def test_invariant_under_identity_shift(self):
-        params = ModelParams(10, 0.4, 1.0, PI8)
+        params = ModelParams(10, 0.4, theta=PI8)
         steady = solve_steady_state(build_generator(params))
         gen_mat = np.asarray(build_operators(params).sy)
         base = qfi_perturbed(steady, gen_mat)
@@ -183,7 +183,7 @@ class TestQfiPerturbed:
 
 class TestSld:
     def test_definitional_consistency(self):
-        params = ModelParams(10, 0.35, 1.0, PI8)
+        params = ModelParams(10, 0.35, theta=PI8)
         solver = steady_solver(params, "omega")
         step = default_fd_step(params, "omega")
         steady = solver(params.omega)
@@ -196,7 +196,7 @@ class TestSld:
 
     def test_sylvester_oracle_small_system(self):
         # dense oracle: solve rho L + L rho = 2 d(rho) directly
-        params = ModelParams(2, 0.4, 1.0, PI8)
+        params = ModelParams(2, 0.4, theta=PI8)
         solver = steady_solver(params, "omega")
         steady = solver(params.omega)
         drho = steady_derivative(solver, params.omega, 1e-4)
@@ -226,7 +226,7 @@ class TestChiSquared:
     def test_shot_noise_at_dark_pole(self):
         # undriven theta=0 steady state with a perpendicular generator
         # saturates the shot-noise limit exactly
-        params = ModelParams(12, 0.0, 1.0, 0.0)
+        params = ModelParams(12, 0.0, theta=0.0)
         steady = solve_steady_state(build_generator(params))
         qfi = qfi_perturbed(steady, np.asarray(build_operators(params).sx))
         assert chi_squared(qfi, 12) == pytest.approx(1.0, abs=1e-6)
@@ -234,7 +234,7 @@ class TestChiSquared:
 
 class TestXiSquared:
     def test_coherent_dark_state_is_unsqueezed(self):
-        params = ModelParams(14, 0.0, 1.0, 0.0)
+        params = ModelParams(14, 0.0, theta=0.0)
         steady = solve_steady_state(build_generator(params))
         result = xi_squared(steady, params)
         assert result.value == pytest.approx(1.0, abs=1e-9)
@@ -242,7 +242,7 @@ class TestXiSquared:
 
     def test_ferromagnetic_phase_is_squeezed_along_x(self):
         oc = math.cos(2 * PI8)
-        params = ModelParams(40, 0.5 * oc, 1.0, PI8)
+        params = ModelParams(40, 0.5 * oc, theta=PI8)
         steady = solve_steady_state(build_generator(params))
         result = xi_squared(steady, params)
         assert result.value < 1.0
@@ -257,7 +257,7 @@ class TestXiSquared:
         )
 
     def test_vanishing_mean_spin_is_flagged(self):
-        params = ModelParams(6, 0.0, 1.0, 0.0)
+        params = ModelParams(6, 0.0, theta=0.0)
         state = SteadyState.from_density(np.eye(7, dtype=complex) / 7)
         with pytest.raises(ValidationError):
             xi_squared(state, params)
@@ -265,28 +265,31 @@ class TestXiSquared:
 
 class TestStepAndSolverHelpers:
     def test_default_step_scales(self):
-        params = ModelParams(10, 0.0, 1.0, PI8)
+        params = ModelParams(10, 0.0, theta=PI8)
         assert default_fd_step(params, "omega") == pytest.approx(1e-4 * params.omega_c)
-        theta_step = default_fd_step(ModelParams(10, 0.5, 1.0, PI8), "theta")
+        theta_step = default_fd_step(ModelParams(10, 0.5, theta=PI8), "theta")
         assert theta_step == pytest.approx(1e-4 * math.cos(2 * PI8))
 
     def test_default_step_capped_near_critical(self):
         oc = math.cos(2 * PI8)
-        params = ModelParams(10, 0.999 * oc, 1.0, PI8)
+        params = ModelParams(10, 0.999 * oc, theta=PI8)
         assert default_fd_step(params, "omega") == pytest.approx(0.05 * 0.001 * oc, rel=1e-6)
+        # the steady state depends on |omega|, so -omega gets the same cap
+        mirror = ModelParams(10, -0.999 * oc, theta=PI8)
+        assert default_fd_step(mirror, "omega") == default_fd_step(params, "omega")
 
     def test_steady_solver_varies_requested_parameter(self):
-        params = ModelParams(6, 0.2, 1.0, PI8)
+        params = ModelParams(6, 0.2, theta=PI8)
         by_theta = steady_solver(params, "theta")
         state = by_theta(0.1)
-        direct = solve_steady_state(build_generator(ModelParams(6, 0.2, 1.0, 0.1)))
+        direct = solve_steady_state(build_generator(ModelParams(6, 0.2, theta=0.1)))
         np.testing.assert_allclose(state.rho, direct.rho, atol=1e-12)
         with pytest.raises(ValidationError):
             steady_solver(params, "n_spins")
 
     def test_qcr_chain(self):
         # no observable beats the quantum bound: eprop^{-2} <= QFI
-        params = ModelParams(30, 0.3, 1.0, PI8)
+        params = ModelParams(30, 0.3, theta=PI8)
         solver = steady_solver(params, "omega")
         step = default_fd_step(params, "omega")
         qfi = qfi_steady(solver, params.omega, step=step)

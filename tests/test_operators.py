@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,33 +30,39 @@ def coherent_plus_x(n):
 
 class TestModelParams:
     def test_derived_quantities(self):
-        p = ModelParams(10, 0.3, 2.0, 0.2)
+        p = ModelParams(10, 0.3, theta=0.2)
         assert p.s == 5.0
         assert p.dimension == 11
-        assert p.omega_c == 2.0 * math.cos(0.4)
+        assert p.omega_c == math.cos(0.4)
 
-    def test_omega_c_recomputed_from_gamma_theta(self):
+    def test_omega_c_recomputed_from_theta(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            gamma = rng.uniform(0.2, 3.0)
             theta = rng.uniform(0.0, math.pi / 2 - 1e-3)
-            p = ModelParams(4, 0.1, gamma, theta)
-            assert p.omega_c == gamma * math.cos(2 * theta)
+            p = ModelParams(4, 0.1, theta=theta)
+            assert p.omega_c == math.cos(2 * theta)
+
+    def test_rate_is_the_unit(self):
+        # omega is in units of the collective rate, and theta is keyword-only,
+        # so a call written for (n, omega, gamma, theta) fails loudly
+        assert [f.name for f in fields(ModelParams)] == ["n_spins", "omega", "theta"]
+        with pytest.raises(TypeError):
+            ModelParams(4, 0.1, 0.3)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_spins": 0},
             {"n_spins": -3},
-            {"gamma": 0.0},
-            {"gamma": -1.0},
+            {"omega": math.nan},
+            {"n_spins": 2.5},
             {"theta": -0.1},
             {"theta": math.pi / 2},
             {"omega": math.inf},
         ],
     )
     def test_invalid_params(self, kwargs):
-        base = {"n_spins": 4, "omega": 0.2, "gamma": 1.0, "theta": 0.1}
+        base = {"n_spins": 4, "omega": 0.2, "theta": 0.1}
         base.update(kwargs)
         with pytest.raises(ValidationError):
             ModelParams(**base)

@@ -4,6 +4,7 @@ Examples are derandomized, so every run draws the same points.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse.linalg
@@ -22,12 +23,14 @@ from spincrit import (
     variance,
 )
 
-# the kernel is degenerate only near theta = pi/4
+# the kernel is degenerate only near theta = pi/4; omega in [0, 20] is
+# drawn as a drive over a rate, so the examples stay those the strategy
+# drew when ModelParams took the rate
 points = st.builds(
-    ModelParams,
+    lambda n_spins, omega, rate, theta: ModelParams(n_spins, omega / rate, theta=theta),
     n_spins=st.integers(1, 10),
     omega=st.floats(0.0, 2.0),
-    gamma=st.floats(0.1, 10.0),
+    rate=st.floats(0.1, 10.0),
     theta=st.floats(0.0, 0.7),
 )
 deterministic = settings(deadline=None, derandomize=True)
@@ -52,7 +55,7 @@ def test_steady_state_is_a_density_matrix(params):
     steady = solve_steady_state(build_generator(params))
     assert np.linalg.eigvalsh(steady.rho).min() >= -1e-12
     assert abs(np.trace(steady.rho) - 1.0) <= 1e-12
-    assert steady.residual <= 1e-9 * params.gamma
+    assert steady.residual <= 1e-9
 
 
 @deterministic
@@ -60,14 +63,6 @@ def test_steady_state_is_a_density_matrix(params):
 def test_steady_state_matches_dense_null_oracle(params):
     gen = build_generator(params)
     assert trace_distance(solve_steady_state(gen).rho, dense_null_steady(gen)) <= 1e-10
-
-
-@deterministic
-@given(points, st.floats(0.1, 10.0))
-def test_steady_state_is_invariant_under_rate_rescaling(params, c):
-    scaled = ModelParams(params.n_spins, c * params.omega, c * params.gamma, params.theta)
-    rho = solve_steady_state(build_generator(params)).rho
-    assert trace_distance(rho, solve_steady_state(build_generator(scaled)).rho) <= 1e-10
 
 
 @deterministic
@@ -97,6 +92,6 @@ def test_steady_state_has_parity_symmetry(params):
 @deterministic
 @given(points)
 def test_negative_drive_conjugates_the_steady_state(params):
-    mirror = ModelParams(params.n_spins, -params.omega, params.gamma, params.theta)
+    mirror = replace(params, omega=-params.omega)
     rho = solve_steady_state(build_generator(params)).rho
     assert np.abs(solve_steady_state(build_generator(mirror)).rho - rho.conj()).max() <= 1e-12
