@@ -18,7 +18,7 @@ class SolverError(SpincritError, RuntimeError):
 
 
 class ConvergenceError(SolverError):
-    """Iterative solver did not reach the requested tolerance."""
+    """A solver did not reach the requested tolerance."""
 
 
 class DegenerateSteadyStateError(SolverError):

@@ -484,7 +484,7 @@ def _check_solver_paths(seed: int) -> SelftestCheck:
     null = np.linalg.svd(gen.matrix.toarray())[2][-1].conj().reshape(21, 21)
     null = (null + null.conj().T) / 2
     d_null = trace_distance(steady.rho, null / np.trace(null).real)
-    return _check("solver_path_equivalence", d_null <= 1e-9, f"power-null {d_null:.2e}")
+    return _check("solver_path_equivalence", d_null <= 1e-9, f"closed-form-null {d_null:.2e}")
 
 
 def _check_uniqueness(seed: int) -> SelftestCheck:

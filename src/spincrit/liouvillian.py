@@ -12,7 +12,16 @@ Density matrices are vectorized by row stacking (numpy C order), so
 vec(A @ rho @ B) = kron(A, B.T) @ vec(rho) and a matrix is recovered
 with .reshape(dim, dim).
 
-L maps Hermitian matrices to Hermitian matrices, so the solvers work in
+The steady state has a closed form. The drive is linear in the jump
+operator, omega*Sx = g*(St + St') with g = omega/(2*(cos(theta) +
+sin(theta))), and the dissipator is kappa*D[St] with kappa = 2/N. Let
+X = (1 - St/beta)^-1 with beta = -2i*g/kappa, so that
+St X = beta*(X - 1). Substituting this into L(X X') makes it vanish
+term by term, so rho_ss is X X' up to normalization, which is
+(A'A)^-1 with A = beta - St (Puri and Lawande, Phys. Lett. A 72, 200
+(1979); Roberts, Lingenfelter and Clerk, PRX Quantum 2, 020336 (2021)).
+
+L maps Hermitian matrices to Hermitian matrices, so the LU works in
 real coordinates on the same (dim, dim) grid: coordinate i*dim + j
 holds Re X_ij for i <= j and Im X_ji for i > j. In them L is a real
 matrix with the same spectrum, and its LU costs about half the complex
@@ -21,6 +30,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -38,10 +48,10 @@ from .errors import (
 )
 from .operators import ModelParams, SpinOperatorSet, build_operators, _require_density
 
-#: Shift-invert offset sigma and residual target of the steady solve.
+#: Shift-invert offset sigma of the LU, and the largest residual
+#: |L(rho)| a steady state may have.
 SHIFT = 1e-8
 TOL = 1e-10
-MAX_ITER = 50
 #: A second Liouvillian mode within DEGENERACY_TOL of zero makes
 #: the steady state count as degenerate.
 DEGENERACY_TOL = 1e-6
@@ -69,11 +79,10 @@ class LindbladGenerator:
     def lu(self):
         """Sparse LU of R - SHIFT, factorized on first use.
 
-        R is L in real coordinates. The steady-state power iteration,
-        its degeneracy probe and the gap's Arnoldi run all apply the
-        inverse through this one factor, on real vectors, and it lives
-        as long as the generator. SuperLU cannot be pickled, and neither
-        can a generator once this has run.
+        R is L in real coordinates. The degeneracy probe and the gap's
+        Arnoldi run both apply the inverse through this one factor, on
+        real vectors, and it lives as long as the generator. SuperLU
+        cannot be pickled, and neither can a generator once this has run.
         """
         to_vec, to_real = _hermitian_coordinates(self.dimension)
         real = (to_real @ self.matrix @ to_vec).real
@@ -85,13 +94,32 @@ class LindbladGenerator:
 
     @cached_property
     def null_state(self) -> SteadyState:
-        """rho_ss from the power iteration on lu, without the degeneracy probe.
+        """rho_ss in closed form, without the LU or the degeneracy probe.
+
+        rho_ss = (A'A)^-1 / tr with A = beta - St (module docstring).
+        With the SVD A = U diag(s) V', that is V diag(w) V' / sum(w)
+        for w = (s_min/s)^2, and w = 1 where s = 0. Every weight is at
+        most 1, so nothing overflows, and one formula covers omega = 0
+        at both parities of N (A = -St may be singular there), omega < 0
+        and theta > pi/4. A residual above TOL raises ConvergenceError.
 
         solve_steady_state probes and returns this object, and
-        liouvillian_spectrum deflates with it, so both share one
-        iteration. It holds no reference to the generator.
+        liouvillian_spectrum deflates with it. It holds no reference to
+        the generator.
         """
-        return _solve_power(self)
+        p = self.params
+        beta = -0.5j * p.n_spins * p.omega / (math.cos(p.theta) + math.sin(p.theta))
+        try:
+            _, s, vh = np.linalg.svd(np.diag(np.full(self.dimension, beta)) - self.ops.s_theta)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"closed-form steady state: {exc}") from exc
+        w = np.divide(s[-1], s, out=np.ones_like(s), where=s > 0) ** 2
+        steady = _finalize((vh.conj().T * w) @ vh, self, "closed_form")
+        if not steady.residual <= TOL:
+            raise ConvergenceError(
+                f"closed-form steady state has residual {steady.residual:.2e} above {TOL:.1e}"
+            )
+        return steady
 
 
 @dataclass(frozen=True)
@@ -119,7 +147,7 @@ class SteadyState:
     def from_density(cls, rho: np.ndarray) -> "SteadyState":
         """Wrap an externally produced density matrix (no residual check)."""
         _require_density(rho)
-        return _finalize(np.asarray(rho, dtype=complex), None, "external", 0)
+        return _finalize(np.asarray(rho, dtype=complex), None, "external")
 
 
 @dataclass(frozen=True)
@@ -155,11 +183,6 @@ def _pack(rho: np.ndarray) -> np.ndarray:
     return (_hermitian_coordinates(rho.shape[0])[1] @ rho.reshape(-1)).real
 
 
-def _unpack(x: np.ndarray, d: int) -> np.ndarray:
-    """Hermitian (d, d) matrix of a real coordinate vector."""
-    return (_hermitian_coordinates(d)[0] @ x).reshape(d, d)
-
-
 def build_generator(params: ModelParams) -> LindbladGenerator:
     """Assemble the vectorized Lindblad superoperator, stored sparse."""
     ops = build_operators(params)
@@ -178,16 +201,7 @@ def build_generator(params: ModelParams) -> LindbladGenerator:
     return LindbladGenerator(params, ops, mat.tocsc())
 
 
-def _normalized_residual(matrix: sparse.csc_matrix, rho: np.ndarray) -> float:
-    return float(np.linalg.norm(matrix @ rho.reshape(-1)))
-
-
-def _finalize(
-    rho_raw: np.ndarray,
-    gen: LindbladGenerator | None,
-    method: str,
-    iterations: int,
-) -> SteadyState:
+def _finalize(rho_raw: np.ndarray, gen: LindbladGenerator | None, method: str) -> SteadyState:
     """Hermitize, trace-normalize, clamp the spectrum, and package."""
     rho = (rho_raw + rho_raw.conj().T) / 2
     tr = np.trace(rho).real
@@ -206,7 +220,7 @@ def _finalize(
     rho = (v * p) @ v.conj().T
     rho = (rho + rho.conj().T) / 2
 
-    residual = _normalized_residual(gen.matrix, rho) if gen is not None else 0.0
+    residual = float(np.linalg.norm(gen.matrix @ rho.reshape(-1))) if gen is not None else 0.0
     return SteadyState(
         rho=rho,
         populations=p,
@@ -214,7 +228,6 @@ def _finalize(
         residual=residual,
         purity=float((p**2).sum()),
         method=method,
-        iterations=iterations,
     )
 
 
@@ -267,46 +280,16 @@ def _degeneracy_probe(gen: LindbladGenerator, seed: int, steps: int = 6) -> None
             )
 
 
-def _solve_power(gen: LindbladGenerator) -> SteadyState:
-    mat = gen.matrix
-    d = gen.dimension
-    lu = gen.lu
-
-    x = _pack(np.eye(d) / d)
-    rho = None
-    for iteration in range(1, MAX_ITER + 1):
-        y = lu.solve(x)
-        nrm = np.linalg.norm(y)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise ConvergenceError("inverse power iteration produced a non-finite vector")
-        y = y / nrm
-        cand = _unpack(y, d)
-        tr = np.trace(cand).real
-        if abs(tr) > 1e-12:
-            cand = cand / tr
-            res = _normalized_residual(mat, cand)
-            if res < TOL:
-                rho = cand
-                break
-        x = y
-    if rho is None:
-        raise ConvergenceError(
-            f"power iteration did not reach residual {TOL:.1e} in {MAX_ITER} steps"
-        )
-    return _finalize(rho, gen, "power", iteration)
-
-
 def solve_steady_state(gen: LindbladGenerator, *, seed: int = 0) -> SteadyState:
     """Solve L(rho) = 0 for the unique steady state.
 
-    Shift-invert power iteration on (L - SHIFT) until the
-    residual |L(rho)| drops below TOL, then a degeneracy probe
-    seeded by `seed`. A degenerate kernel (more than one steady state
-    within tolerance) raises DegenerateSteadyStateError instead of
-    silently averaging; no convergence within MAX_ITER steps raises
-    ConvergenceError. The state is gen.null_state, so the iteration
-    runs once per generator, and liouvillian_spectrum on the same
-    generator reuses it and its LU.
+    The state is gen.null_state, the closed form, computed once per
+    generator; a residual above TOL raises ConvergenceError. A
+    degeneracy probe seeded by `seed` then runs on gen.lu, deflated by
+    that state: a degenerate kernel (more than one steady state within
+    tolerance) raises DegenerateSteadyStateError, because the closed
+    form would silently return one of them. liouvillian_spectrum on the
+    same generator reuses the state and the LU.
     """
     _degeneracy_probe(gen, seed)
     return gen.null_state

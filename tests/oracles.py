@@ -4,11 +4,15 @@ The dense SVD costs O((N+1)^6) and the relaxation runs RK45 for up to
 t = 4000 (in units of the inverse collective rate), so both are for small N only. The parity-block spectrum
 is a dense eigvals split in two, for N up to a few tens. The package
 itself integrates no dynamics; relax() here is the only integrator.
+The shift-invert power iteration on the generator's LU reaches N in the
+hundreds.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
+
+from spincrit.liouvillian import TOL, _hermitian_coordinates, _pack
 
 
 def dense_null_space(gen):
@@ -28,6 +32,32 @@ def dense_null_steady(gen):
     rho = null[0].reshape(d, d)
     rho = (rho + rho.conj().T) / 2
     return rho / np.trace(rho).real
+
+
+def unpack(x, d):
+    """Hermitian (d, d) matrix of a real coordinate vector."""
+    return (_hermitian_coordinates(d)[0] @ x).reshape(d, d)
+
+
+def lu_power_steady(gen, max_iter=50):
+    """The steady state from shift-invert power iteration on gen.lu.
+
+    Starts from the maximally mixed state and stops once the
+    trace-normalized iterate has |L(rho)| < TOL. That rule bounds the
+    residual, not the state error, so where the gap is small the state
+    can miss 1e-10 in trace distance (N = 5, omega = 18, theta = 0.625
+    stops after one step 6.4e-10 away).
+    """
+    d = gen.dimension
+    x = _pack(np.eye(d) / d)
+    for _ in range(max_iter):
+        y = gen.lu.solve(x)
+        x = y / np.linalg.norm(y)
+        rho = unpack(x, d)
+        rho = rho / np.trace(rho).real
+        if np.linalg.norm(gen.matrix @ rho.reshape(-1)) < TOL:
+            return (rho + rho.conj().T) / 2
+    raise AssertionError(f"no residual below {TOL:.1e} in {max_iter} steps")
 
 
 def relax(gen, rho, t, *, t_eval=None, rtol=1e-8, atol=1e-12):

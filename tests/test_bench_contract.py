@@ -40,7 +40,9 @@ def test_tracer_sees_one_lu_per_stencil_point_and_no_dense_gap(tmp_path):
     # the centre LU serves the steady state and the gap; two more for the stencil
     assert metrics["liouvillian.splu.calls"] == 3
     assert metrics["liouvillian.liouvillian_spectrum.dense_calls"] == 0
-    # one centre and two stencil solves, each read off the generator's null_state
+    # one centre and two stencil solves, each read off the generator's null_state;
+    # the closed form iterates 0 times, and the tracer counts every method
+    # but "power" as a fallback
     assert metrics["liouvillian.solve_steady_state.calls"] == 3
-    assert metrics["liouvillian.solve_steady_state.iterations"] == 6
-    assert metrics["liouvillian.solve_steady_state.fallbacks"] == 0
+    assert metrics["liouvillian.solve_steady_state.iterations"] == 0
+    assert metrics["liouvillian.solve_steady_state.fallbacks"] == 3

@@ -12,8 +12,10 @@ from oracles import (
     dense_null_space,
     dense_null_steady,
     evolve_to_steady,
+    lu_power_steady,
     parity_block_spectrum,
     relax,
+    unpack,
 )
 from spincrit import (
     ConvergenceError,
@@ -102,7 +104,7 @@ class TestRealCoordinates:
         x = random_hermitian(np.random.default_rng(4), 7)
         packed = spincrit.liouvillian._pack(x)
         assert packed.dtype == np.float64
-        np.testing.assert_array_equal(spincrit.liouvillian._unpack(packed, 7), x)
+        np.testing.assert_array_equal(unpack(packed, 7), x)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_real_form_has_the_spectrum_of_l(self, n):
@@ -162,11 +164,19 @@ class TestSteadyState:
         steady = solve_steady_state(build_generator(params))
         assert trace_distance(steady.rho, rho_oracle) < 1e-10
 
-    def test_power_and_null_paths_agree(self):
+    def test_closed_form_and_dense_null_agree(self):
         gen = build_generator(ModelParams(12, 0.3, theta=0.35))
         steady = solve_steady_state(gen)
-        assert steady.method == "power"
+        assert (steady.method, steady.iterations) == ("closed_form", 0)
         assert trace_distance(steady.rho, dense_null_steady(gen)) < 1e-9
+
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 8, 1.0])
+    def test_closed_form_matches_lu_power_oracle(self, n, theta):
+        omega_c = abs(math.cos(2 * theta))
+        for frac in (0.0, 0.5, 0.99, 1.5):
+            gen = build_generator(ModelParams(n, frac * omega_c, theta=theta))
+            assert trace_distance(gen.null_state.rho, lu_power_steady(gen)) <= 1e-10, frac
 
     def test_evolve_path_agrees(self):
         gen = build_generator(ModelParams(8, 0.3, theta=math.pi / 8))
@@ -189,21 +199,21 @@ class TestSteadyState:
         steady = solve_steady_state(build_generator(ModelParams(50, 0.3, theta=math.pi / 4 - 1e-2)))
         assert steady.residual <= 1e-9
 
-    def test_one_power_iteration_per_generator(self, monkeypatch):
+    def test_one_closed_form_per_generator(self, monkeypatch):
         calls = []
-        solve_power = spincrit.liouvillian._solve_power
+        finalize = spincrit.liouvillian._finalize
 
-        def counted(gen):
-            calls.append(gen)
-            return solve_power(gen)
+        def counted(rho, gen, method):
+            calls.append(method)
+            return finalize(rho, gen, method)
 
-        monkeypatch.setattr(spincrit.liouvillian, "_solve_power", counted)
+        monkeypatch.setattr(spincrit.liouvillian, "_finalize", counted)
         gen = build_generator(ModelParams(12, 0.3, theta=math.pi / 8))
-        first = solve_steady_state(gen)
-        second = solve_steady_state(gen, seed=1)
+        steady = gen.null_state
+        assert "lu" not in vars(gen)
+        assert solve_steady_state(gen) is solve_steady_state(gen, seed=1) is steady
         liouvillian_spectrum(gen, k=2)
-        assert len(calls) == 1
-        assert first is second is gen.null_state
+        assert calls == ["closed_form"]
 
     def test_from_density(self):
         rng = np.random.default_rng(2)
@@ -215,12 +225,19 @@ class TestSteadyState:
         assert trace_distance(rebuilt, rho) < 1e-10
 
     def test_non_convergence_raises_without_fallback(self, monkeypatch, caplog):
-        monkeypatch.setattr(spincrit.liouvillian, "MAX_ITER", 0)
+        # a residual above TOL is refused, not handed to another solver
+        monkeypatch.setattr(spincrit.liouvillian, "TOL", 0.0)
         gen = build_generator(ModelParams(4, 0.3, theta=math.pi / 8))
         with caplog.at_level(logging.DEBUG, logger="spincrit"):
-            with pytest.raises(ConvergenceError, match="did not reach residual"):
+            with pytest.raises(ConvergenceError, match="residual .* above"):
                 solve_steady_state(gen)
         assert caplog.records == []
+
+    def test_failed_svd_is_a_convergence_error(self):
+        # N*omega overflows, so A holds inf and nan; LinAlgError is a
+        # ValueError, which the CLI would report as bad input
+        with pytest.raises(ConvergenceError, match="SVD did not converge"):
+            solve_steady_state(build_generator(ModelParams(4, 1e308)))
 
     def test_steady_state_pickles_without_lu(self):
         gen = build_generator(ModelParams(10, 0.3, theta=math.pi / 8))
