@@ -74,7 +74,6 @@ _FLAGS: dict[str, dict] = {
         help="parameter being estimated",
     ),
     "generator": dict(default="optimal", help="phase generator: sz | optimal | x | nx,ny,nz"),
-    "step": dict(type=float, help="finite-difference step"),
     "eig-floor": dict(type=float, default=DEFAULT_EIG_FLOOR, help="population-pair floor"),
     "axis": dict(choices=("omega", "theta", "n_spins"), default="omega"),
     "start": dict(type=float),
@@ -100,16 +99,16 @@ _DRIVE = ("omega", "omega-frac", "at-critical")
 _SUBCOMMANDS = {
     "steady": (
         "full report at one parameter point",
-        "n omega omega-frac gamma theta lambda generator step eig-floor tasks format seed no-meta",
+        "n omega omega-frac gamma theta lambda generator eig-floor tasks format seed no-meta",
     ),
     "sweep": (
         "sweep one axis over a grid",
-        "n omega omega-frac gamma theta lambda generator step eig-floor"
+        "n omega omega-frac gamma theta lambda generator eig-floor"
         " axis start stop points values tasks format jobs seed no-meta",
     ),
     "scaling": (
         "N sweep with a power-law fit",
-        "n-list omega omega-frac at-critical gamma theta lambda generator step eig-floor"
+        "n-list omega omega-frac at-critical gamma theta lambda generator eig-floor"
         " quantity jobs seed",
     ),
     "meanfield": ("closed-form analytics, no solver", "n omega omega-frac gamma theta format"),
@@ -193,7 +192,6 @@ def _spec_from_args(
         tasks=tuple(t.strip() for t in tasks.split(",") if t.strip()),
         lambda_name=args.lambda_name,
         generator=args.generator,
-        step=args.step,
         eig_floor=args.eig_floor,
         jobs=getattr(args, "jobs", SweepSpec.jobs),
         seed=args.seed,

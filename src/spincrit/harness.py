@@ -26,7 +26,6 @@ from .errors import (
 )
 from .liouvillian import (
     DEGENERACY_TOL,
-    SteadyState,
     build_generator,
     liouvillian_spectrum,
     solve_steady_state,
@@ -34,13 +33,13 @@ from .liouvillian import (
 from .metrology import (
     DEFAULT_EIG_FLOOR,
     chi_squared,
-    default_fd_step,
-    error_propagation,
     qfi_perturbed,
-    qfi_steady,
-    steady_solver,
+    signal_bound,
+    spectral_qfi,
     xi_squared,
 )
+# reports no longer call these two; bench/tracer.py wraps them by name
+from .metrology import error_propagation, qfi_steady  # noqa: F401
 from .operators import (
     ModelParams,
     build_operators,
@@ -89,7 +88,6 @@ class SweepSpec:
     tasks: tuple[str, ...] = ("signals",)
     lambda_name: str = "omega"
     generator: str = "optimal"
-    step: float | None = None
     eig_floor: float = DEFAULT_EIG_FLOOR
     jobs: int = 1
     seed: int = 0
@@ -113,10 +111,6 @@ class SweepSpec:
             raise ValidationError("jobs must be >= 1")
         if self.lambda_name not in ("omega", "theta"):
             raise ValidationError("lambda must be 'omega' or 'theta'")
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ValidationError(
-                f"derivative step must be finite and positive, got {self.step!r}"
-            )
         if not (math.isfinite(self.eig_floor) and self.eig_floor >= 0):
             raise ValidationError(
                 f"eig_floor must be finite and nonnegative, got {self.eig_floor!r}"
@@ -231,8 +225,6 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
     if "gap" in tasks:
         row["gap"] = liouvillian_spectrum(gen, k=2, seed=spec.seed).gap
     ops = gen.ops
-    # free the centre LU (33 MB at N = 100) before the stencil points factorize
-    del gen
     s_len = params.s
     syn = np.asarray(ops.sy) / s_len
     szn = np.asarray(ops.sz) / s_len
@@ -244,28 +236,13 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
         row["var_sy"] = variance(syn, steady.rho)
         row["var_sz"] = variance(szn, steady.rho)
 
-    lam = params.omega if spec.lambda_name == "omega" else params.theta
-    step = spec.step if spec.step is not None else default_fd_step(params, spec.lambda_name)
-
     if "bounds" in tasks or "qfi_steady" in tasks:
-        if spec.lambda_name == "theta" and not 0 <= lam - step < lam + step < math.pi / 2:
-            raise ValidationError(
-                f"--lambda theta needs theta +/- step inside [0, pi/2), "
-                f"got theta = {lam!r} with step {step!r}"
-            )
-        solver = steady_solver(params, spec.lambda_name, seed=spec.seed)
-        cached = {lam: steady}
-
-        def solve_at(value: float) -> SteadyState:
-            if value not in cached:
-                cached[value] = solver(value)
-            return cached[value]
-
+        drho = gen.state_derivative(spec.lambda_name)
         if "bounds" in tasks:
-            row["eprop_sy"] = error_propagation(syn, solve_at, lam, step)
-            row["eprop_sz"] = error_propagation(szn, solve_at, lam, step)
+            row["eprop_sy"] = signal_bound(syn, steady.rho, drho)
+            row["eprop_sz"] = signal_bound(szn, steady.rho, drho)
         if "qfi_steady" in tasks:
-            row["qfi_steady"] = qfi_steady(solve_at, lam, step, eig_floor=spec.eig_floor)
+            row["qfi_steady"] = spectral_qfi(steady, drho, spec.eig_floor)
             if "chi2" in tasks and row["qfi_steady"] > 0:
                 row["chi2_steady"] = chi_squared(row["qfi_steady"], params.n_spins)
 

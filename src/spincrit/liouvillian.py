@@ -26,6 +26,11 @@ real coordinates on the same (dim, dim) grid: coordinate i*dim + j
 holds Re X_ij for i <= j and Im X_ji for i > j. In them L is a real
 matrix with the same spectrum, and its LU costs about half the complex
 one.
+
+L = omega*L_H + L_D, and its real form, are cached in pieces for the
+last (N, theta), so an omega sweep assembles each point by one sparse
+sum. Only the code that builds, factorizes or diagonalizes L imports
+scipy, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -36,9 +41,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
-from scipy.sparse.linalg import LinearOperator, splu
 
 from .errors import (
     ConvergenceError,
@@ -64,7 +66,7 @@ class LindbladGenerator:
 
     params: ModelParams
     ops: SpinOperatorSet
-    matrix: sparse.csc_matrix
+    matrix: "scipy.sparse.csc_matrix"
 
     @property
     def dimension(self) -> int:
@@ -84,42 +86,84 @@ class LindbladGenerator:
         real vectors, and it lives as long as the generator. SuperLU
         cannot be pickled, and neither can a generator once this has run.
         """
-        to_vec, to_real = _hermitian_coordinates(self.dimension)
-        real = (to_real @ self.matrix @ to_vec).real
-        eye = sparse.identity(self.dimension**2, format="csc")
+        p = self.params
+        _, _, real_h, shifted_d = _omega_free_pieces(p.n_spins, p.theta)
         try:
-            return splu((real - SHIFT * eye).tocsc())
+            return splu((p.omega * real_h + shifted_d).tocsc())
         except RuntimeError as exc:
             raise ConvergenceError(f"sparse LU factorization failed: {exc}") from exc
+
+    @cached_property
+    def _closed_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A = beta - St (module docstring) and its SVD U, s (descending), V'."""
+        p = self.params
+        beta = -0.5j * p.n_spins * p.omega / (math.cos(p.theta) + math.sin(p.theta))
+        a = np.diag(np.full(self.dimension, beta)) - self.ops.s_theta
+        try:
+            return (a, *np.linalg.svd(a))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"closed-form steady state: {exc}") from exc
 
     @cached_property
     def null_state(self) -> SteadyState:
         """rho_ss in closed form, without the LU or the degeneracy probe.
 
-        rho_ss = (A'A)^-1 / tr with A = beta - St (module docstring).
-        With the SVD A = U diag(s) V', that is V diag(w) V' / sum(w)
-        for w = (s_min/s)^2, and w = 1 where s = 0. Every weight is at
-        most 1, so nothing overflows, and one formula covers omega = 0
-        at both parities of N (A = -St may be singular there), omega < 0
-        and theta > pi/4. A residual above TOL raises ConvergenceError.
+        rho_ss = (A'A)^-1 / tr with A = beta - St (module docstring),
+        which is X X' / tr for X = s_min A^-1 = V diag(s_min/s) U' with
+        the SVD A = U diag(s) V', and s_min/s = 1 where s = 0. No entry
+        of diag(s_min/s) exceeds 1, so one formula covers omega = 0 at
+        both parities of N (A = -St may be singular there), omega < 0
+        and theta > pi/4. One step of iterative refinement through the
+        same SVD, X += A^+ (s_min - A X), keeps the residual at round-off
+        at large drives. A residual above TOL raises ConvergenceError.
 
         solve_steady_state probes and returns this object, and
         liouvillian_spectrum deflates with it. It holds no reference to
         the generator.
         """
-        p = self.params
-        beta = -0.5j * p.n_spins * p.omega / (math.cos(p.theta) + math.sin(p.theta))
-        try:
-            _, s, vh = np.linalg.svd(np.diag(np.full(self.dimension, beta)) - self.ops.s_theta)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"closed-form steady state: {exc}") from exc
-        w = np.divide(s[-1], s, out=np.ones_like(s), where=s > 0) ** 2
-        steady = _finalize((vh.conj().T * w) @ vh, self, "closed_form")
+        a, u, s, vh = self._closed_form
+        v, uh = vh.conj().T, u.conj().T
+        x = (v * _ratio(s)) @ uh
+        x += (v * _inverse(s)) @ (uh @ (s[-1] * np.eye(self.dimension) - a @ x))
+        steady = _finalize(x @ x.conj().T, self, "closed_form")
         if not steady.residual <= TOL:
             raise ConvergenceError(
                 f"closed-form steady state has residual {steady.residual:.2e} above {TOL:.1e}"
             )
         return steady
+
+    def state_derivative(self, lambda_name: str) -> np.ndarray:
+        """Exact d(rho_ss)/d(lambda) for lambda = omega or theta.
+
+        rho_ss = V diag(p) V' with p = w/sum(w), w = (s_min/s)^2, from
+        null_state's SVD. With G = U' (dA/dlambda) V, a = Re diag(G)/s
+        and Y = diag(1/s) G diag(p), V' drho V is -(Y + Y') off the
+        diagonal and 2 p_i sum_{j != i} p_j (a_j - a_i) on it: the j = i
+        terms, of order 1/s_min, cancel and are never formed. Where
+        s <= 1e-15 s_max, 1/s and a count as 0, which drops terms of
+        order s_min/s_j^2.
+        """
+        p = self.params
+        c, s_t = math.cos(p.theta), math.sin(p.theta)
+        dbeta = -0.5j * p.n_spins / (c + s_t) * np.eye(self.dimension)  # d(beta)/d(omega)
+        if lambda_name == "omega":
+            da = dbeta
+        elif lambda_name == "theta":
+            da = p.omega * (s_t - c) / (c + s_t) * dbeta - (-s_t * self.ops.s_minus + c * self.ops.s_plus)
+        else:
+            raise ValidationError(f"lambda_name must be 'omega' or 'theta', got {lambda_name!r}")
+        _, u, s, vh = self._closed_form
+        v = vh.conj().T
+        pop = _ratio(s) ** 2
+        pop /= pop.sum()
+        inverse = _inverse(s)
+        g = u.conj().T @ da @ v
+        y = inverse[:, None] * g * pop[None, :]
+        dmat = -(y + y.conj().T)
+        a = g.diagonal().real * inverse
+        # row i sums p_j (a_j - a_i) over j; its j = i term is exactly 0
+        np.fill_diagonal(dmat, 2 * pop * ((a[None, :] - a[:, None]) @ pop))
+        return v @ dmat @ vh
 
 
 @dataclass(frozen=True)
@@ -159,14 +203,33 @@ class SpectrumReport:
     method: str
 
 
+def _ratio(s: np.ndarray) -> np.ndarray:
+    """s_min/s, and 1 where s = 0."""
+    return np.divide(s[-1], s, out=np.ones_like(s), where=s > 0)
+
+
+def _inverse(s: np.ndarray) -> np.ndarray:
+    """1/s, and 0 where s <= 1e-15*s_max, below which round-off fills A^-1."""
+    return np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s[0])
+
+
+def splu(matrix):
+    """scipy's SuperLU factorization of a sparse matrix, imported when called."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(matrix)
+
+
 @lru_cache(maxsize=1)
-def _hermitian_coordinates(d: int) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
+def _hermitian_coordinates(d: int):
     """B from real coordinates to vec(X), and C from Hermitian vec(X) back.
 
     C @ B is the identity, and C @ L @ B is real for any L that maps
     Hermitian matrices to Hermitian matrices. Each has at most two
     entries per column.
     """
+    import scipy.sparse as sparse
+
     i, j = np.divmod(np.arange(d * d), d)
     off = i != j
     k = np.arange(d * d)
@@ -183,26 +246,43 @@ def _pack(rho: np.ndarray) -> np.ndarray:
     return (_hermitian_coordinates(rho.shape[0])[1] @ rho.reshape(-1)).real
 
 
+@lru_cache(maxsize=1)
+def _omega_free_pieces(n_spins: int, theta: float):
+    """L_H, L_D, R_H and R_D - SHIFT: L = omega*L_H + L_D, R_* real forms.
+
+    L_H = -i(Sx x 1 - 1 x Sx^T) is the drive per unit omega, L_D the
+    dissipator.
+    """
+    import scipy.sparse as sparse
+
+    ops = build_operators(ModelParams(n_spins, 0.0, theta=theta))
+    d = ops.dimension
+    eye = sparse.identity(d, dtype=complex, format="csr")
+    sx, st = sparse.csr_matrix(ops.sx), sparse.csr_matrix(ops.s_theta)
+    std_st = sparse.csr_matrix(ops.s_theta.conj().T @ ops.s_theta)
+    drive = (-1j * (sparse.kron(sx, eye) - sparse.kron(eye, sx.T))).tocsc()
+    decay = (
+        (1.0 / n_spins)
+        * (2 * sparse.kron(st, st.conj()) - sparse.kron(std_st, eye) - sparse.kron(eye, std_st.T))
+    ).tocsc()
+    to_vec, to_real = _hermitian_coordinates(d)
+    real_drive, real_decay = ((to_real @ m @ to_vec).real.tocsc() for m in (drive, decay))
+    shifted = (real_decay - SHIFT * sparse.identity(d * d, format="csc")).tocsc()
+    return drive, decay, real_drive, shifted
+
+
 def build_generator(params: ModelParams) -> LindbladGenerator:
     """Assemble the vectorized Lindblad superoperator, stored sparse."""
     ops = build_operators(params)
-    d = ops.dimension
-    rate = 1.0 / params.n_spins
-    eye = sparse.identity(d, dtype=complex, format="csr")
-    sx = sparse.csr_matrix(ops.sx)
-    st = sparse.csr_matrix(ops.s_theta)
-    std_st = sparse.csr_matrix(ops.s_theta.conj().T @ ops.s_theta)
-
-    mat = -1j * params.omega * (sparse.kron(sx, eye) - sparse.kron(eye, sx.T)) + rate * (
-        2 * sparse.kron(st, st.conj())
-        - sparse.kron(std_st, eye)
-        - sparse.kron(eye, std_st.T)
-    )
-    return LindbladGenerator(params, ops, mat.tocsc())
+    drive, decay, _, _ = _omega_free_pieces(params.n_spins, params.theta)
+    return LindbladGenerator(params, ops, (params.omega * drive + decay).tocsc())
 
 
 def _finalize(rho_raw: np.ndarray, gen: LindbladGenerator | None, method: str) -> SteadyState:
-    """Hermitize, trace-normalize, clamp the spectrum, and package."""
+    """Hermitize, trace-normalize, clamp the spectrum, and package.
+
+    rho is not rebuilt from the clamped spectrum: L would amplify the
+    eigensolver's round-off by |omega|*N."""
     rho = (rho_raw + rho_raw.conj().T) / 2
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
@@ -217,8 +297,6 @@ def _finalize(rho_raw: np.ndarray, gen: LindbladGenerator | None, method: str) -
     order = np.argsort(p)[::-1]
     p = p[order]
     v = v[:, order]
-    rho = (v * p) @ v.conj().T
-    rho = (rho + rho.conj().T) / 2
 
     residual = float(np.linalg.norm(gen.matrix @ rho.reshape(-1))) if gen is not None else 0.0
     return SteadyState(
@@ -312,16 +390,19 @@ def liouvillian_spectrum(gen: LindbladGenerator, k: int = 6, *, seed: int = 0) -
     if k < 2:
         raise ValidationError("k must be at least 2 to define a gap")
     dim2 = gen.dimension**2
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     if k - 1 >= dim2 - 2:
         vals = scipy.linalg.eigvals(gen.matrix.toarray())
         vals = vals[np.argsort(-vals.real)][:k]
         return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="dense")
 
     apply, v0 = _deflated_inverse(gen, seed)
-    op = LinearOperator((dim2, dim2), matvec=apply, dtype=float)
+    op = scipy.sparse.linalg.LinearOperator((dim2, dim2), matvec=apply, dtype=float)
     try:
-        mu = sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)
-    except sparse.linalg.ArpackNoConvergence as exc:
+        mu = scipy.sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
     modes = SHIFT + 1.0 / mu
     vals = np.concatenate(([0j], modes[np.argsort(-modes.real)]))

@@ -1,10 +1,15 @@
 """Quantum Fisher information, SLD, error propagation, and witnesses.
 
 Two estimation schemes are covered: the parameter encoded in the steady
-state itself (spectral QFI of d(rho_ss)/d(lambda), computed by central
-differences over a steady-state solver), and a unitary phase imprinted
-on the steady state by a Hermitian generator (population-difference
-spectral formula, independent of the phase value).
+state itself (spectral QFI of d(rho_ss)/d(lambda)), and a unitary phase
+imprinted on the steady state by a Hermitian generator
+(population-difference spectral formula, independent of the phase
+value).
+
+spectral_qfi and signal_bound take the state and its derivative. The
+reports pass the exact derivative, LindbladGenerator.state_derivative;
+qfi_steady and error_propagation pass a central difference over any
+steady-state solver, such as steady_solver, and serve as its oracle.
 """
 
 from __future__ import annotations
@@ -83,27 +88,27 @@ def steady_derivative(solver: StateSolver, lam: float, step: float) -> np.ndarra
     return (solver(lam + step).rho - solver(lam - step).rho) / (2.0 * step)
 
 
+def signal_bound(op: np.ndarray, rho: np.ndarray, drho: np.ndarray) -> float:
+    """Inverse signal-to-noise bound sqrt(Var op)/|d<op>/d lambda|.
+
+    d<op>/d lambda = tr(op drho). Returns inf when that slope is below
+    1e-12 (the observable carries no information about lambda).
+    """
+    _require_hermitian(op)
+    slope = float(np.einsum("ij,ji->", op, drho).real)
+    if abs(slope) < 1e-12:
+        return math.inf
+    return math.sqrt(variance(op, rho)) / abs(slope)
+
+
 def error_propagation(
     op: np.ndarray,
     solver: StateSolver,
     lam: float,
     step: float,
 ) -> float:
-    """Inverse signal-to-noise bound sqrt(Var op)/|d<op>/d lambda|.
-
-    Returns inf when the signal derivative is below 1e-12 (the
-    observable carries no information about lambda).
-    """
-    _require_hermitian(op)
-    if step <= 0:
-        raise ValidationError("derivative step must be positive")
-    center = solver(lam)
-    mean_plus = expectation(op, solver(lam + step).rho)
-    mean_minus = expectation(op, solver(lam - step).rho)
-    deriv = (mean_plus - mean_minus) / (2.0 * step)
-    if abs(deriv) < 1e-12:
-        return math.inf
-    return math.sqrt(variance(op, center.rho)) / abs(deriv)
+    """signal_bound at solver(lam), with a central-difference derivative."""
+    return signal_bound(op, solver(lam).rho, steady_derivative(solver, lam, step))
 
 
 def _in_eigenbasis(
@@ -119,9 +124,10 @@ def _in_eigenbasis(
     return dmat, den, kept, leak if leak > leak_tol * max(1.0, np.linalg.norm(dmat)) else 0.0
 
 
-def _spectral_qfi(
-    state: SteadyState, drho: np.ndarray, eig_floor: float
+def spectral_qfi(
+    state: SteadyState, drho: np.ndarray, eig_floor: float = DEFAULT_EIG_FLOOR
 ) -> float:
+    """Scheme-(i) QFI: 2 sum |<n|d rho|m>|^2 / (p_n + p_m) over pairs above eig_floor."""
     # leak threshold sits above the floor-adjacent noise that a
     # finite-difference derivative always carries (eigenvector rotations
     # inside the near-zero population cluster, amplified by 1/step)
@@ -142,11 +148,10 @@ def qfi_steady(
     step: float,
     eig_floor: float = DEFAULT_EIG_FLOOR,
 ) -> float:
-    """Scheme-(i) QFI: 2 sum |<n|d rho|m>|^2 / (p_n + p_m)."""
+    """spectral_qfi at solver(lam), with a central-difference derivative."""
     if eig_floor < 0:
         raise ValidationError("eig_floor must be nonnegative")
-    center = solver(lam)
-    return _spectral_qfi(center, steady_derivative(solver, lam, step), eig_floor)
+    return spectral_qfi(solver(lam), steady_derivative(solver, lam, step), eig_floor)
 
 
 def qfi_perturbed(
@@ -214,7 +219,9 @@ def xi_squared(steady: SteadyState, params: ModelParams) -> SpinSqueezing:
 
     The minimum over directions perpendicular to the mean spin is found
     exactly by diagonalizing the 2x2 covariance block in the
-    perpendicular plane.
+    perpendicular plane. The optimal direction is a line; of its two
+    signs, the one returned has its larger component along e1 or e2 of
+    that plane positive.
     """
     ops = build_operators(params)
     if ops.dimension != steady.dimension:
@@ -240,7 +247,9 @@ def xi_squared(steady: SteadyState, params: ModelParams) -> SpinSqueezing:
     cov = np.array([[c11, c12], [c12, c22]])
     vals, vecs = np.linalg.eigh(cov)
     var_min = max(vals[0], 0.0)
-    direction = vecs[0, 0] * e1 + vecs[1, 0] * e2
+    # eigh leaves the sign to round-off; fix it by the larger component
+    vec = vecs[:, 0] if vecs[np.argmax(np.abs(vecs[:, 0])), 0] > 0 else -vecs[:, 0]
+    direction = vec[0] * e1 + vec[1] * e2
     direction = direction / np.linalg.norm(direction)
     return SpinSqueezing(
         value=float(params.n_spins * var_min / length**2),

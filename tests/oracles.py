@@ -5,13 +5,17 @@ t = 4000 (in units of the inverse collective rate), so both are for small N only
 is a dense eigvals split in two, for N up to a few tens. The package
 itself integrates no dynamics; relax() here is the only integrator.
 The shift-invert power iteration on the generator's LU reaches N in the
-hundreds.
+hundreds. The dense derivative solves the (N+1)^2 system of the
+differentiated master equation by least squares, for N up to a few tens.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from spincrit import build_operators
 from spincrit.liouvillian import TOL, _hermitian_coordinates, _pack
 
 
@@ -32,6 +36,47 @@ def dense_null_steady(gen):
     rho = null[0].reshape(d, d)
     rho = (rho + rho.conj().T) / 2
     return rho / np.trace(rho).real
+
+
+def _dense_generator(params, dst=None):
+    """L of the module docstring of spincrit.liouvillian as a dense matrix.
+
+    With dst = dSt/dlambda, the dissipator is differentiated along it
+    and the drive left out, which is dL/dtheta for dst = dSt/dtheta.
+    """
+    ops = build_operators(params)
+    st, eye = ops.s_theta, np.eye(ops.dimension)
+
+    def dissipator(a, b):
+        # rho -> 2 a rho b' - b'a rho - rho b'a; D[St] is dissipator(St, St)
+        ba = b.conj().T @ a
+        return 2 * np.kron(a, b.conj()) - np.kron(ba, eye) - np.kron(eye, ba.T)
+
+    if dst is None:
+        drive = -1j * params.omega * (np.kron(ops.sx, eye) - np.kron(eye, ops.sx.T))
+        return drive + dissipator(st, st) / params.n_spins
+    return (dissipator(dst, st) + dissipator(st, dst)) / params.n_spins
+
+
+def dense_state_derivative(params, rho, lambda_name):
+    """d(rho_ss)/d(lambda) from L x = -(dL/dlambda) rho with tr x = 0.
+
+    The trace row makes the stacked system full rank, so its least-squares
+    solution is the unique one.
+    """
+    d = params.dimension
+    if lambda_name == "omega":
+        rate = _dense_generator(replace(params, omega=1.0)) - _dense_generator(
+            replace(params, omega=0.0)
+        )
+    else:
+        ops = build_operators(params)
+        c, s = np.cos(params.theta), np.sin(params.theta)
+        rate = _dense_generator(params, dst=-s * ops.s_minus + c * ops.s_plus)
+    system = np.vstack([_dense_generator(params), np.eye(d).reshape(1, -1)])
+    rhs = np.concatenate([-rate @ rho.reshape(-1), [0.0]])
+    x = np.linalg.lstsq(system, rhs, rcond=None)[0].reshape(d, d)
+    return (x + x.conj().T) / 2
 
 
 def unpack(x, d):

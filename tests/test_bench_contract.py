@@ -24,7 +24,7 @@ print(json.dumps({"code": code, **tracer.layer_metrics(tr.all_spans(), 1)}))
 """
 
 
-def test_tracer_sees_one_lu_per_stencil_point_and_no_dense_gap(tmp_path):
+def test_tracer_sees_one_lu_per_report_and_no_dense_gap(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
@@ -37,12 +37,12 @@ def test_tracer_sees_one_lu_per_stencil_point_and_no_dense_gap(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
     assert metrics["code"] == 0
-    # the centre LU serves the steady state and the gap; two more for the stencil
-    assert metrics["liouvillian.splu.calls"] == 3
+    # one LU serves the degeneracy probe and the gap; the state derivative
+    # is exact, so no other parameter point is solved
+    assert metrics["liouvillian.splu.calls"] == 1
     assert metrics["liouvillian.liouvillian_spectrum.dense_calls"] == 0
-    # one centre and two stencil solves, each read off the generator's null_state;
     # the closed form iterates 0 times, and the tracer counts every method
     # but "power" as a fallback
-    assert metrics["liouvillian.solve_steady_state.calls"] == 3
+    assert metrics["liouvillian.solve_steady_state.calls"] == 1
     assert metrics["liouvillian.solve_steady_state.iterations"] == 0
-    assert metrics["liouvillian.solve_steady_state.fallbacks"] == 3
+    assert metrics["liouvillian.solve_steady_state.fallbacks"] == 1

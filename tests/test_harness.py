@@ -1,9 +1,7 @@
 import argparse
-import gc
 import json
 import math
 import os
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +34,7 @@ from spincrit.harness import (
     resolve_generator,
     row_error,
 )
+from spincrit.metrology import spectral_qfi
 
 PI8 = math.pi / 8
 
@@ -154,7 +153,9 @@ class TestRunSweep:
         assert seen == user
         assert {name: os.environ.get(name) for name in _BLAS_THREAD_VARS} == user
 
-    def test_one_factorization_per_stencil_point(self, monkeypatch):
+    def test_one_factorization_per_row(self, monkeypatch):
+        # the steady state and d(rho)/d(omega) come from one SVD; the
+        # degeneracy probe and the gap share the row's one LU
         splu_calls, eigs_kwargs = [], []
         splu, eigs = spincrit.liouvillian.splu, scipy.sparse.linalg.eigs
 
@@ -170,30 +171,9 @@ class TestRunSweep:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
         spec = small_spec(n_spins=20, values=(0.35,), tasks=KNOWN_TASKS)
         report = compute_report(ModelParams(20, 0.35, theta=PI8), spec)
-        assert report["gap"] > 0 and report["qfi_steady"] > 0
-        # the centre and the two finite-difference points; the gap reuses the centre
-        assert len(splu_calls) == 3
+        assert report["gap"] > 0 and report["qfi_steady"] > 0 and report["eprop_sz"] > 0
+        assert len(splu_calls) == 1
         assert len(eigs_kwargs) == 1 and "sigma" not in eigs_kwargs[0]
-
-    def test_centre_lu_freed_before_stencil_points(self, monkeypatch):
-        splu = spincrit.liouvillian.splu
-        made, alive_at_call = [], []
-
-        class Factor:  # SuperLU itself takes no weak references
-            def __init__(self, lu):
-                self.solve = lu.solve
-
-        def tracked_splu(*args, **kwargs):
-            gc.collect()
-            alive_at_call.append(sum(ref() is not None for ref in made))
-            factor = Factor(splu(*args, **kwargs))
-            made.append(weakref.ref(factor))
-            return factor
-
-        monkeypatch.setattr(spincrit.liouvillian, "splu", tracked_splu)
-        spec = small_spec(n_spins=20, values=(0.35,), tasks=KNOWN_TASKS)
-        compute_report(ModelParams(20, 0.35, theta=PI8), spec)
-        assert alive_at_call == [0, 0, 0]
 
     def test_negative_omega_mirrors_positive_omega(self):
         # rho(-omega) = conj rho(omega): only <Sy> and the drive flip sign
@@ -382,7 +362,7 @@ class TestSelftest:
 #: flags of every subcommand that runs the solver
 SOLVER_FLAGS = {
     "--omega", "--omega-frac", "--gamma", "--theta", "--lambda", "--generator",
-    "--step", "--eig-floor", "--seed", "--out", "--config",
+    "--eig-floor", "--seed", "--out", "--config",
 }
 #: the flags each subcommand reads; every other flag is an unknown argument
 SUBCOMMAND_FLAGS = {
@@ -399,6 +379,8 @@ SUBCOMMAND_FLAGS = {
 }
 DROPPED_FLAGS = [
     ("steady", "--jobs"),
+    # the derivative is exact, so no command takes a finite-difference step
+    *((command, "--step") for command in ("steady", "sweep", "scaling")),
     *(("scaling", flag) for flag in ("--n", "--format", "--no-meta")),
     *(("meanfield", flag) for flag in (
         "--lambda", "--generator", "--step", "--eig-floor", "--jobs", "--seed", "--no-meta",
@@ -411,6 +393,7 @@ DROPPED_FLAGS = [
 #: a command line each subcommand runs cleanly without the dropped flag
 MINIMAL_ARGV = {
     "steady": ["steady", "--n", "4", "--omega", "0.1", "--tasks", "signals"],
+    "sweep": ["sweep", "--n", "4", "--values", "0.1", "--tasks", "signals"],
     "scaling": ["scaling", "--n-list", "4,6,8,10", "--at-critical", "--theta", "0.3927"],
     "meanfield": ["meanfield", "--n", "10", "--omega", "0.3"],
     "selftest": ["selftest"],
@@ -430,8 +413,8 @@ class TestCli:
             for name, parser in _subcommand_parsers().items()
         }
         assert taken == SUBCOMMAND_FLAGS
-        assert sum(map(len, taken.values())) == 62
-        assert len(DROPPED_FLAGS) == 23
+        assert sum(map(len, taken.values())) == 59
+        assert len(DROPPED_FLAGS) == 26
 
     @pytest.mark.parametrize("command,flag", DROPPED_FLAGS)
     def test_dropped_flag_is_an_unknown_argument(self, capsys, command, flag):
@@ -609,12 +592,12 @@ class TestCli:
         "flag",
         [
             ["--generator", "bogus"],
-            ["--step", "-1"],
+            ["--gamma", "0"],
             ["--eig-floor", "-1"],
             ["--gamma", "inf"],
             ["--gamma", "nan"],
-            ["--step", "nan"],
-            ["--step", "inf"],
+            ["--generator", "0,0,0"],
+            ["--gamma", "-1"],
             ["--eig-floor", "nan"],
             ["--eig-floor", "inf"],
         ],
@@ -648,7 +631,7 @@ class TestCli:
             ["sweep", "--n", "6", "--theta", "2", "--values", "0.1,0.2", "--tasks", "signals"],
             ["sweep", "--n", "0", "--values", "0.1,0.2", "--tasks", "signals"],
             ["sweep", "--n", "3000", "--values", "0.1,0.2", "--tasks", "signals"],
-            ["scaling", "--n-list", "4,6,8,10", "--omega", "0.2", "--lambda", "theta"],
+            ["scaling", "--n-list", "4,6,8,10", "--omega", "0.2", "--theta", "2"],
             ["scaling", "--n-list", "4,6,8,3000", "--omega", "0.2", "--theta", "0.3"],
         ],
     )
@@ -834,21 +817,30 @@ class TestCli:
         assert payload[0]["eprop_sz"] > 0
         assert payload[0]["chi2_steady"] == pytest.approx(6 / payload[0]["qfi_steady"])
 
-    @pytest.mark.parametrize("theta", ["0", "1.5707"])
-    def test_lambda_theta_stencil_outside_the_domain_names_the_flag(self, capsys, theta):
-        argv = ["steady", "--n", "6", "--omega", "0.2", "--theta", theta,
-                "--lambda", "theta", "--tasks", "qfi_steady"]
-        assert cli_main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --lambda theta needs theta +/- step inside [0, pi/2)")
-        assert f"got theta = {float(theta)!r} with step" in err
+    @pytest.mark.parametrize("theta", [0.0, 1.5707])
+    def test_lambda_theta_at_the_domain_edges_matches_one_sided_fd(self, capsys, theta):
+        # the exact derivative needs no stencil around theta, so both ends
+        # of [0, pi/2) give a row; the oracle steps into the domain only
+        argv = ["steady", "--n", "6", "--omega", "0.2", "--theta", repr(theta),
+                "--lambda", "theta", "--tasks", "qfi_steady", "--format", "json"]
+        assert cli_main(argv) == 0
+        qfi = json.loads(capsys.readouterr().out)[0]["qfi_steady"]
+        h = 1e-4 if theta == 0.0 else -1e-4
 
-    def test_lambda_theta_stencil_error_stays_in_its_sweep_row(self):
+        def rho(shift):
+            params = ModelParams(6, 0.2, theta=theta + shift)
+            return spincrit.liouvillian.build_generator(params).null_state.rho
+
+        # Richardson extrapolation of the one-sided difference: O(h^2)
+        drho = (4 * rho(h / 2) - 3 * rho(0.0) - rho(h)) / h
+        steady = spincrit.liouvillian.build_generator(ModelParams(6, 0.2, theta=theta)).null_state
+        assert qfi == pytest.approx(spectral_qfi(steady, drho), rel=1e-6)
+
+    def test_lambda_theta_sweep_from_zero_fills_every_row(self):
         spec = small_spec(omega=0.3, axis="theta", values=(0.0, 0.3), tasks=("qfi_steady",),
                           lambda_name="theta")
-        first, second = run_sweep(spec)
-        assert first["error"].startswith("ValidationError: --lambda theta")
-        assert "error" not in second and second["qfi_steady"] > 0
+        rows = run_sweep(spec)
+        assert all("error" not in row and row["qfi_steady"] > 0 for row in rows)
 
     def test_solver_flag_removed(self, tmp_path, capsys):
         # one steady-state path: --solver, from the command line or a

@@ -178,6 +178,17 @@ class TestSteadyState:
             gen = build_generator(ModelParams(n, frac * omega_c, theta=theta))
             assert trace_distance(gen.null_state.rho, lu_power_steady(gen)) <= 1e-10, frac
 
+    @pytest.mark.parametrize(
+        "n,omega,theta", [(100, 1e4, 0.0), (100, 1e4, math.pi / 8), (10, 1e5, 0.0)]
+    )
+    def test_refined_closed_form_holds_at_large_drives(self, n, omega, theta):
+        # without the refinement step the residual of these states was
+        # 1.3e-10 to 2.3e-10, above TOL, from round-off alone
+        gen = build_generator(ModelParams(n, omega, theta=theta))
+        steady = solve_steady_state(gen)
+        assert steady.residual <= spincrit.liouvillian.TOL
+        assert trace_distance(steady.rho, lu_power_steady(gen)) <= 1e-10
+
     def test_evolve_path_agrees(self):
         gen = build_generator(ModelParams(8, 0.3, theta=math.pi / 8))
         assert trace_distance(solve_steady_state(gen).rho, evolve_to_steady(gen)) < 1e-7

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spincrit import (
     variance,
     xi_squared,
 )
+from spincrit.metrology import signal_bound, spectral_qfi
 
 PI8 = math.pi / 8
 
@@ -149,6 +151,58 @@ class TestQfiSteady:
         solver = pure_family()
         with pytest.raises(ValidationError):
             qfi_steady(solver, 0.1, step=1e-4, eig_floor=-1.0)
+
+
+class TestExactDerivative:
+    @staticmethod
+    def richardson(params, h):
+        """Richardson-extrapolated central difference of rho_ss in omega."""
+
+        def central(step):
+            def rho(omega):
+                return build_generator(replace(params, omega=omega)).null_state.rho
+
+            return (rho(params.omega + step) - rho(params.omega - step)) / (2 * step)
+
+        return (4 * central(h / 2) - central(h)) / 3
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_exact_qfi_matches_richardson_fd(self, n):
+        oc = math.cos(2 * PI8)
+        for frac in (0.1, 0.5, 0.9, 1.0, 1.5, 2.0):
+            params = ModelParams(n, frac * oc, theta=PI8)
+            gen = build_generator(params)
+            exact = spectral_qfi(gen.null_state, gen.state_derivative("omega"))
+            numeric = spectral_qfi(gen.null_state, self.richardson(params, 1e-4 * oc))
+            assert exact == pytest.approx(numeric, rel=1e-6), frac
+
+    @pytest.mark.parametrize("omega", [0.05, 0.2])
+    def test_sld_reproduces_exact_qfi_on_near_pure_states(self, omega):
+        params = ModelParams(40, omega * math.cos(2 * PI8), theta=PI8)
+        gen = build_generator(params)
+        steady = gen.null_state
+        assert steady.populations[1] < 1e-2  # ferromagnetic: nearly pure
+        for name in ("omega", "theta"):
+            drho = gen.state_derivative(name)
+            lmat = sld(steady, drho)
+            qfi = spectral_qfi(steady, drho)
+            assert np.trace(steady.rho @ lmat @ lmat).real == pytest.approx(qfi, rel=1e-8)
+
+    def test_fd_wrappers_share_the_exact_formulas(self):
+        params = ModelParams(12, 0.3, theta=PI8)
+        solver = steady_solver(params, "omega")
+        step = default_fd_step(params, "omega")
+        steady = solver(params.omega)
+        drho = steady_derivative(solver, params.omega, step)
+        szn = np.asarray(build_operators(params).sz) / params.s
+        assert qfi_steady(solver, params.omega, step) == spectral_qfi(steady, drho)
+        assert error_propagation(szn, solver, params.omega, step) == signal_bound(
+            szn, steady.rho, drho
+        )
+
+    def test_unknown_parameter_is_rejected(self):
+        with pytest.raises(ValidationError):
+            build_generator(ModelParams(4, 0.2)).state_derivative("n_spins")
 
 
 class TestQfiPerturbed:

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_null_steady
+from oracles import dense_null_steady, dense_state_derivative
 from spincrit import (
     ModelParams,
     build_generator,
@@ -108,3 +108,20 @@ def test_negative_drive_conjugates_the_steady_state(params):
     mirror = replace(params, omega=-params.omega)
     rho = solve_steady_state(build_generator(params)).rho
     assert np.abs(solve_steady_state(build_generator(mirror)).rho - rho.conj()).max() <= 1e-12
+
+
+@deterministic
+@given(points, st.sampled_from(["omega", "theta"]))
+@example(ModelParams(20, 0.0, theta=0.3), "omega")
+@example(ModelParams(20, 0.0, theta=0.3), "theta")
+@example(ModelParams(21, 0.0, theta=0.3), "omega")
+@example(ModelParams(21, 0.0, theta=0.3), "theta")
+@example(ModelParams(8, 0.3, theta=1.0), "omega")
+@example(ModelParams(8, 0.3, theta=1.0), "theta")
+@example(ModelParams(7, -0.5, theta=0.3), "omega")
+@example(ModelParams(7, -0.5, theta=0.3), "theta")
+def test_state_derivative_matches_dense_oracle(params, lambda_name):
+    gen = build_generator(params)
+    exact = gen.state_derivative(lambda_name)
+    oracle = dense_state_derivative(params, gen.null_state.rho, lambda_name)
+    assert np.linalg.norm(exact - oracle) <= 1e-9 * max(np.linalg.norm(oracle), 1e-12)

@@ -1,9 +1,12 @@
-"""The package never loads scipy.integrate or scipy.optimize.
+"""Start-up loads as little of scipy as each command needs.
 
-scipy.integrate drags in scipy.optimize, scipy.special and scipy.spatial,
-about a third of the start-up time of every spincrit process. This
-checks, in a fresh process, that importing the CLI and running a small
-steady report with every task, the gap included, loads neither.
+scipy is imported only by the code that assembles, factorizes or
+diagonalizes the Liouvillian, so importing the CLI, and the meanfield
+command, load no scipy module at all; that was about half the start-up
+time of every spincrit process. A full steady report, the gap included,
+still loads neither scipy.integrate nor scipy.optimize, which would
+drag in scipy.special and scipy.spatial. Each check runs in a fresh
+process.
 """
 
 import json
@@ -18,23 +21,38 @@ SCRIPT = """
 import json, sys
 from spincrit.cli import cli_main
 
-code = cli_main(["steady", "--n", "6", "--omega", "0.2", "--theta", "0.3", "--no-meta"])
+imported = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+code = cli_main(sys.argv[1:])
 print(json.dumps({
     "code": code,
-    "loaded": [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules],
+    "on_import": imported,
+    "after_run": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
 }))
 """
 
 
-def test_cli_and_a_full_report_leave_scipy_integrate_unloaded():
+def _run(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", SCRIPT, *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
-    assert result == {"code": 0, "loaded": []}
+    return lines[:-1], json.loads(lines[-1])
+
+
+def test_cli_import_and_meanfield_load_no_scipy():
+    lines, result = _run("meanfield", "--theta", "0.3927", "--omega", "0.5", "--n", "100")
+    assert result == {"code": 0, "on_import": [], "after_run": []}
+    assert any(line.startswith("omega_c = ") for line in lines)
+
+
+def test_cli_and_a_full_report_leave_scipy_integrate_unloaded():
+    lines, result = _run("steady", "--n", "6", "--omega", "0.2", "--theta", "0.3", "--no-meta")
+    assert result["code"] == 0 and result["on_import"] == []
+    assert "scipy.sparse.linalg" in result["after_run"]
+    for name in ("scipy.integrate", "scipy.optimize"):
+        assert name not in result["after_run"]
     # the report itself ran: a header and one row with the gap filled in
     header, row = lines[:2]
     assert row.split(",")[header.split(",").index("gap")]
