@@ -1,7 +1,9 @@
 import argparse
+import gc
 import json
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +176,26 @@ class TestRunSweep:
         assert report["gap"] > 0 and report["qfi_steady"] > 0 and report["eprop_sz"] > 0
         assert len(splu_calls) == 1
         assert len(eigs_kwargs) == 1 and "sigma" not in eigs_kwargs[0]
+
+    def test_row_lu_freed_before_the_next_row(self, monkeypatch):
+        splu = spincrit.liouvillian.splu
+        made, alive_at_call = [], []
+
+        class Factor:  # SuperLU itself takes no weak references
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def tracked_splu(*args, **kwargs):
+            gc.collect()
+            alive_at_call.append(sum(ref() is not None for ref in made))
+            factor = Factor(splu(*args, **kwargs))
+            made.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(spincrit.liouvillian, "splu", tracked_splu)
+        rows = run_sweep(small_spec(n_spins=20, values=(0.3, 0.35, 0.4), tasks=KNOWN_TASKS))
+        assert all("error" not in row for row in rows)
+        assert alive_at_call == [0, 0, 0]
 
     def test_negative_omega_mirrors_positive_omega(self):
         # rho(-omega) = conj rho(omega): only <Sy> and the drive flip sign
