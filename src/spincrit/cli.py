@@ -88,7 +88,7 @@ _FLAGS: dict[str, dict] = {
     "tasks": dict(default="signals", help="comma-separated task list"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "jobs": dict(type=int, default=1, help="worker processes for sweeps"),
-    "seed": dict(type=int, default=0, help="seed for randomized probes"),
+    "seed": dict(type=int, default=0, help="seed of the gap's ARPACK start vector and the selftest"),
     "no-meta": dict(action="store_true", help="suppress the CSV meta line"),
     "out": dict(help="output path (default stdout)"),
     "config": dict(help="flat key-value config file"),

@@ -19,11 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import errors, meanfield
-from .errors import (
-    DegenerateSteadyStateError,
-    SpincritError,
-    ValidationError,
-)
+from .errors import DegenerateSteadyStateError, SpincritError, ValidationError
 from .liouvillian import (
     DEGENERACY_TOL,
     build_generator,
@@ -221,7 +217,7 @@ def compute_report(params: ModelParams, spec: SweepSpec) -> dict:
         return row
 
     gen = build_generator(params)
-    steady = solve_steady_state(gen, seed=spec.seed)
+    steady = solve_steady_state(gen)
     if "gap" in tasks:
         row["gap"] = liouvillian_spectrum(gen, k=2, seed=spec.seed).gap
     ops = gen.ops
@@ -456,7 +452,7 @@ def _check_dark_state(seed: int) -> SelftestCheck:
 
 def _check_solver_paths(seed: int) -> SelftestCheck:
     gen = build_generator(ModelParams(20, 0.3, theta=math.pi / 8))
-    steady = solve_steady_state(gen, seed=seed)
+    steady = solve_steady_state(gen)
     # reference: the dense SVD null vector of L
     null = np.linalg.svd(gen.matrix.toarray())[2][-1].conj().reshape(21, 21)
     null = (null + null.conj().T) / 2
@@ -487,11 +483,9 @@ def _check_uniqueness(seed: int) -> SelftestCheck:
 def _check_degeneracy_detection(seed: int) -> SelftestCheck:
     try:
         solve_steady_state(build_generator(ModelParams(6, 0.4, theta=math.pi / 4)))
-    except DegenerateSteadyStateError:
-        return _check("degenerate_kernel_detection", True, "theta = pi/4 kernel flagged")
-    return _check(
-        "degenerate_kernel_detection", False, "degenerate kernel went undetected"
-    )
+    except DegenerateSteadyStateError as exc:
+        return _check("degenerate_kernel_detection", True, f"theta = pi/4 kernel flagged: {exc}")
+    return _check("degenerate_kernel_detection", False, "degenerate kernel went undetected")
 
 
 def _check_sweep_determinism(seed: int) -> SelftestCheck:

@@ -21,15 +21,31 @@ term by term, so rho_ss is X X' up to normalization, which is
 (A'A)^-1 with A = beta - St (Puri and Lawande, Phys. Lett. A 72, 200
 (1979); Roberts, Lingenfelter and Clerk, PRX Quantum 2, 020336 (2021)).
 
-L maps Hermitian matrices to Hermitian matrices, so the LU works in
-real coordinates on the same (dim, dim) grid: coordinate i*dim + j
-holds Re X_ij for i <= j and Im X_ji for i > j. In them L is a real
-matrix with the same spectrum, and its LU costs about half the complex
-one.
+The state is unique for theta != pi/4 and omega != 0, by Frigerio's
+theorem (Commun. Math. Phys. 63, 269 (1978)): a full-rank stationary
+state is the only one when only multiples of 1 commute with Sx, St and
+St'. A diagonal similarity maps St to 2*sqrt(cos*sin)*Sx, whose spectrum
+is real, while beta is imaginary, so A and rho_ss have full rank; and
+for cos(theta) != sin(theta), St and St' span S+ and S-, which act
+irreducibly. (At omega = 0 a singular A leaves a pure dark state, whose
+uniqueness the tests check on the dense spectrum.)
 
-L = omega*L_H + L_D, and its real form, are cached in pieces for the
-last (N, theta), so an omega sweep assembles each point by one sparse
-sum. Only the code that builds, factorizes or diagonalizes L imports
+At theta = pi/4 every function of Sx is steady, so the gap closes near
+it. With eps = cos(theta) - sin(theta) and a = cos(theta) + sin(theta),
+St = a*Sx - i*eps*Sy and L = L0 + eps*L1 + eps^2*L2, where
+L0 = -i*omega*[Sx, .] + (2a^2/N) D[Sx] is diagonal on the Sx eigenbasis,
+L1 rho = (2/N)(ia(Sx rho Sy - Sy rho Sx) - (a/2){Sz, rho}) and
+L2 = (2/N) D[Sy]. To order eps^2 the Sx populations then follow
+W = P L2 P - P L1 L0^-1 L1 P, a birth-death chain whose rate m -> m+-1 is
+(S(S+1) - m(m+-1)) (1 + (4m^2 - 1)/(1 + (N*omega/a^2)^2)) / (2N), and the
+gap is eps^2*lambda_1(W) to leading order.
+
+The gap's LU works in real coordinates on the (dim, dim) grid, where L
+is a real matrix with the same spectrum: coordinate i*dim + j holds
+Re X_ij for i <= j and Im X_ji for i > j. L = omega*L_H + L_D is cached
+in pieces for the last (N, theta), so an omega sweep assembles each
+point by one sparse sum; the real form's pieces are built with the first
+LU. Only the code that builds, factorizes or diagonalizes L imports
 scipy, so importing this module loads numpy alone.
 """
 
@@ -38,24 +54,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateSteadyStateError,
-    SolverError,
-    ValidationError,
-)
+from .errors import ConvergenceError, DegenerateSteadyStateError, SolverError, ValidationError
 from .operators import ModelParams, SpinOperatorSet, build_operators, _require_density
 
 #: Shift-invert offset sigma of the LU, and the largest residual
 #: |L(rho)| a steady state may have.
 SHIFT = 1e-8
 TOL = 1e-10
-#: A second Liouvillian mode within DEGENERACY_TOL of zero makes
-#: the steady state count as degenerate.
+#: An estimated gap below DEGENERACY_TOL makes the steady state count
+#: as degenerate (solve_steady_state).
 DEGENERACY_TOL = 1e-6
 POSITIVITY_TOL = 1e-9
 
@@ -81,13 +91,13 @@ class LindbladGenerator:
     def lu(self):
         """Sparse LU of R - SHIFT, factorized on first use.
 
-        R is L in real coordinates. The degeneracy probe and the gap's
-        Arnoldi run both apply the inverse through this one factor, on
-        real vectors, and it lives as long as the generator. SuperLU
+        R is L in real coordinates. Only liouvillian_spectrum uses it:
+        the gap's Arnoldi run applies the inverse through this factor,
+        on real vectors, and it lives as long as the generator. SuperLU
         cannot be pickled, and neither can a generator once this has run.
         """
         p = self.params
-        _, _, real_h, shifted_d = _omega_free_pieces(p.n_spins, p.theta)
+        real_h, shifted_d = _real_pieces(p.n_spins, p.theta)
         try:
             return splu((p.omega * real_h + shifted_d).tocsc())
         except RuntimeError as exc:
@@ -106,7 +116,7 @@ class LindbladGenerator:
 
     @cached_property
     def null_state(self) -> SteadyState:
-        """rho_ss in closed form, without the LU or the degeneracy probe.
+        """rho_ss in closed form, without the LU or the uniqueness check.
 
         rho_ss = (A'A)^-1 / tr with A = beta - St (module docstring),
         which is X X' / tr for X = s_min A^-1 = V diag(s_min/s) U' with
@@ -116,10 +126,8 @@ class LindbladGenerator:
         and theta > pi/4. One step of iterative refinement through the
         same SVD, X += A^+ (s_min - A X), keeps the residual at round-off
         at large drives. A residual above TOL raises ConvergenceError.
-
-        solve_steady_state probes and returns this object, and
-        liouvillian_spectrum deflates with it. It holds no reference to
-        the generator.
+        solve_steady_state returns this object, and liouvillian_spectrum
+        deflates with it; it holds no reference to the generator.
         """
         a, u, s, vh = self._closed_form
         v, uh = vh.conj().T, u.conj().T
@@ -248,7 +256,7 @@ def _pack(rho: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _omega_free_pieces(n_spins: int, theta: float):
-    """L_H, L_D, R_H and R_D - SHIFT: L = omega*L_H + L_D, R_* real forms.
+    """L_H and L_D with L = omega*L_H + L_D.
 
     L_H = -i(Sx x 1 - 1 x Sx^T) is the drive per unit omega, L_D the
     dissipator.
@@ -265,16 +273,23 @@ def _omega_free_pieces(n_spins: int, theta: float):
         (1.0 / n_spins)
         * (2 * sparse.kron(st, st.conj()) - sparse.kron(std_st, eye) - sparse.kron(eye, std_st.T))
     ).tocsc()
-    to_vec, to_real = _hermitian_coordinates(d)
-    real_drive, real_decay = ((to_real @ m @ to_vec).real.tocsc() for m in (drive, decay))
-    shifted = (real_decay - SHIFT * sparse.identity(d * d, format="csc")).tocsc()
-    return drive, decay, real_drive, shifted
+    return drive, decay
+
+
+@lru_cache(maxsize=1)
+def _real_pieces(n_spins: int, theta: float):
+    """R_H and R_D - SHIFT, the real forms of L_H and L_D, for the LU."""
+    import scipy.sparse as sparse
+
+    to_vec, to_real = _hermitian_coordinates(n_spins + 1)
+    real_h, real_d = ((to_real @ m @ to_vec).real.tocsc() for m in _omega_free_pieces(n_spins, theta))
+    return real_h, (real_d - SHIFT * sparse.identity(real_d.shape[0], format="csc")).tocsc()
 
 
 def build_generator(params: ModelParams) -> LindbladGenerator:
     """Assemble the vectorized Lindblad superoperator, stored sparse."""
     ops = build_operators(params)
-    drive, decay, _, _ = _omega_free_pieces(params.n_spins, params.theta)
+    drive, decay = _omega_free_pieces(params.n_spins, params.theta)
     return LindbladGenerator(params, ops, (params.omega * drive + decay).tocsc())
 
 
@@ -309,67 +324,56 @@ def _finalize(rho_raw: np.ndarray, gen: LindbladGenerator | None, method: str) -
     )
 
 
-def _deflated_inverse(
-    gen: LindbladGenerator, seed: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """x -> P (R - SHIFT)^-1 P x, and a start vector P z.
+def _slow_chain(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of -W (module docstring) and the products W_{m,m+1} W_{m+1,m}.
 
-    P x = x - rho_ss*tr(x) removes the zero mode: its left eigenvector
-    is the trace, its right one rho_ss = gen.null_state. z is drawn
-    from rng(seed). All vectors are real coordinates, whose trace is
-    the sum of the diagonal ones.
+    No rate is negative, so these are the diagonal and squared
+    off-diagonal of a symmetric tridiagonal matrix with the spectrum of
+    -W, also at omega = 0, where the rates out of m = 0 vanish one way.
     """
-    d = gen.dimension
-    rho = _pack(gen.null_state.rho)
-    lu = gen.lu
-
-    def deflate(x: np.ndarray) -> np.ndarray:
-        return x - rho * x[:: d + 1].sum()
-
-    start = deflate(np.random.default_rng(seed).standard_normal(d * d))
-    return (lambda x: deflate(lu.solve(deflate(x)))), start
+    n, s = params.n_spins, params.s
+    a = math.cos(params.theta) + math.sin(params.theta)
+    x = n * params.omega / (a * a)
+    m = np.arange(-s, s + 1)
+    rate = (1.0 + (4 * m * m - 1) / (1.0 + x * x)) / (2 * n)
+    up, down = (s * (s + 1) - m * (m + 1)) * rate, (s * (s + 1) - m * (m - 1)) * rate
+    return up + down, up[:-1] * down[1:]
 
 
-def _degeneracy_probe(gen: LindbladGenerator, seed: int, steps: int = 6) -> None:
-    """Detect a second near-zero mode via deflated shift-invert growth.
+def slow_rate(params: ModelParams) -> float:
+    """lambda_1(W): near theta = pi/4 the gap is eps^2 times this (module docstring)."""
+    diag, coupling = _slow_chain(params)
+    off = np.sqrt(coupling)
+    return float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[1])
 
-    With the zero mode deflated only the decaying modes remain. If the
-    inverse iteration still amplifies by more than
-    1/DEGENERACY_TOL, a second eigenvalue sits within DEGENERACY_TOL
-    of zero.
+
+def _modes_below(diag: np.ndarray, coupling: np.ndarray, limit: float) -> int:
+    """Sturm count: eigenvalues below `limit` of _slow_chain's tridiagonal matrix."""
+    count, pivot = 0, 1.0
+    for d, e2 in zip(diag.tolist(), [0.0, *coupling.tolist()]):
+        pivot = d - limit - e2 / pivot
+        count += pivot < 0
+        pivot = pivot or 1e-300  # nudges an eigenvalue at `limit` above it
+    return count
+
+
+def solve_steady_state(gen: LindbladGenerator) -> SteadyState:
+    """The unique steady state, gen.null_state, or DegenerateSteadyStateError.
+
+    The error is raised iff the estimated gap eps^2*lambda_1(W) (module
+    docstring) is below DEGENERACY_TOL, where the closed form would
+    return one of several steady states. The zero mode is always below
+    the limit, so an O(N) Sturm count decides it; no LU is built.
     """
-    apply, x = _deflated_inverse(gen, seed)
-    threshold = 1.0 / DEGENERACY_TOL
-    for _ in range(steps):
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return
-        x = apply(x / nrm)
-        amp = np.linalg.norm(x)
-        if not np.isfinite(amp):
-            raise DegenerateSteadyStateError(
-                "inverse iteration diverged on the deflated space"
-            )
-        if amp > threshold:
-            lam = SHIFT + 1.0 / amp
-            raise DegenerateSteadyStateError(
-                f"second Liouvillian mode within {lam:.2e} of zero; "
-                "steady state is not unique at this tolerance"
-            )
-
-
-def solve_steady_state(gen: LindbladGenerator, *, seed: int = 0) -> SteadyState:
-    """Solve L(rho) = 0 for the unique steady state.
-
-    The state is gen.null_state, the closed form, computed once per
-    generator; a residual above TOL raises ConvergenceError. A
-    degeneracy probe seeded by `seed` then runs on gen.lu, deflated by
-    that state: a degenerate kernel (more than one steady state within
-    tolerance) raises DegenerateSteadyStateError, because the closed
-    form would silently return one of them. liouvillian_spectrum on the
-    same generator reuses the state and the LU.
-    """
-    _degeneracy_probe(gen, seed)
+    p = gen.params
+    eps = math.cos(p.theta) - math.sin(p.theta)
+    if eps == 0.0 or _modes_below(*_slow_chain(p), DEGENERACY_TOL / eps**2) >= 2:
+        rate = slow_rate(p)
+        raise DegenerateSteadyStateError(
+            f"estimated gap eps^2*lambda1(W) = {eps * eps * rate:.2e} is below DEGENERACY_TOL "
+            f"= {DEGENERACY_TOL:.0e} (eps = cos(theta) - sin(theta) = {eps:.2e}; lambda1(W) = "
+            f"{rate:.4g}): steady state is not unique at this tolerance"
+        )
     return gen.null_state
 
 
@@ -381,11 +385,13 @@ def liouvillian_spectrum(gen: LindbladGenerator, k: int = 6, *, seed: int = 0) -
     decay rate). Only problems too small for ARPACK to return k-1
     modes are diagonalized densely.
 
-    Otherwise ARPACK runs on the deflated shift-invert operator of the
-    degeneracy probe, through gen.lu and gen.null_state (R has the
-    spectrum of L); each eigenvalue mu maps back to shift + 1/mu.
-    null_state skips the probe, so a degenerate kernel reports a gap
-    of ~0 instead of raising. `seed` draws ARPACK's start vector.
+    Otherwise ARPACK runs on P (R - SHIFT)^-1 P through gen.lu, its only
+    user (R has the spectrum of L), and each eigenvalue mu maps back to
+    SHIFT + 1/mu. P x = x - rho_ss*tr(x) removes the zero mode, whose
+    left eigenvector is the trace and right one gen.null_state; in real
+    coordinates tr(x) sums the diagonal ones. null_state skips the
+    uniqueness check, so a degenerate kernel reports a gap of ~0
+    instead of raising. `seed` draws ARPACK's start vector.
     """
     if k < 2:
         raise ValidationError("k must be at least 2 to define a gap")
@@ -398,8 +404,15 @@ def liouvillian_spectrum(gen: LindbladGenerator, k: int = 6, *, seed: int = 0) -
         vals = vals[np.argsort(-vals.real)][:k]
         return SpectrumReport(eigenvalues=vals, gap=float(-vals[1].real), method="dense")
 
-    apply, v0 = _deflated_inverse(gen, seed)
-    op = scipy.sparse.linalg.LinearOperator((dim2, dim2), matvec=apply, dtype=float)
+    d, rho, lu = gen.dimension, _pack(gen.null_state.rho), gen.lu
+
+    def deflate(x: np.ndarray) -> np.ndarray:
+        return x - rho * x[:: d + 1].sum()
+
+    v0 = deflate(np.random.default_rng(seed).standard_normal(dim2))
+    op = scipy.sparse.linalg.LinearOperator(
+        (dim2, dim2), matvec=lambda x: deflate(lu.solve(deflate(x))), dtype=float
+    )
     try:
         mu = scipy.sparse.linalg.eigs(op, k=k - 1, which="LM", v0=v0, return_eigenvectors=False)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:

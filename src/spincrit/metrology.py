@@ -61,22 +61,14 @@ def default_fd_step(params: ModelParams, lambda_name: str) -> float:
     return h
 
 
-def steady_solver(
-    params: ModelParams,
-    lambda_name: str = "omega",
-    *,
-    seed: int = 0,
-) -> StateSolver:
-    """Map lambda -> steady state, varying omega or theta of `params`.
-
-    seed reaches each solve's degeneracy probe.
-    """
+def steady_solver(params: ModelParams, lambda_name: str = "omega") -> StateSolver:
+    """Map lambda -> steady state, varying omega or theta of `params`."""
     if lambda_name not in ("omega", "theta"):
         raise ValidationError(f"lambda_name must be 'omega' or 'theta', got {lambda_name!r}")
 
     def solve_at(value: float) -> SteadyState:
         p = replace(params, **{lambda_name: float(value)})
-        return solve_steady_state(build_generator(p), seed=seed)
+        return solve_steady_state(build_generator(p))
 
     return solve_at
 

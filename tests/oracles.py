@@ -4,8 +4,9 @@ The dense SVD costs O((N+1)^6) and the relaxation runs RK45 for up to
 t = 4000 (in units of the inverse collective rate), so both are for small N only. The parity-block spectrum
 is a dense eigvals split in two, for N up to a few tens. The package
 itself integrates no dynamics; relax() here is the only integrator.
-The shift-invert power iteration on the generator's LU reaches N in the
-hundreds. The dense derivative solves the (N+1)^2 system of the
+The shift-invert power iteration on the generator's LU, and the
+degeneracy probe on the same LU, reach N in the hundreds. The dense
+derivative solves the (N+1)^2 system of the
 differentiated master equation by least squares, for N up to a few tens.
 """
 
@@ -16,7 +17,12 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from spincrit import build_operators
-from spincrit.liouvillian import TOL, _hermitian_coordinates, _pack
+from spincrit.liouvillian import (
+    DEGENERACY_TOL,
+    TOL,
+    _hermitian_coordinates,
+    _pack,
+)
 
 
 def dense_null_space(gen):
@@ -103,6 +109,33 @@ def lu_power_steady(gen, max_iter=50):
         if np.linalg.norm(gen.matrix @ rho.reshape(-1)) < TOL:
             return (rho + rho.conj().T) / 2
     raise AssertionError(f"no residual below {TOL:.1e} in {max_iter} steps")
+
+
+def degeneracy_probe(gen, seed=0, steps=6):
+    """Whether deflated shift-invert growth finds a second near-zero mode.
+
+    The inverse iteration runs on gen.lu with the zero mode deflated, so
+    only decaying modes remain. If it still amplifies by more than
+    1/DEGENERACY_TOL, or diverges, a second eigenvalue sits within about
+    DEGENERACY_TOL of zero. This is the reference for the O(N) estimate
+    that solve_steady_state decides uniqueness by.
+    """
+    d = gen.dimension
+    rho = _pack(gen.null_state.rho)
+
+    def deflate(x):
+        return x - rho * x[:: d + 1].sum()
+
+    x = deflate(np.random.default_rng(seed).standard_normal(d * d))
+    for _ in range(steps):
+        nrm = np.linalg.norm(x)
+        if nrm == 0.0:
+            return False
+        x = deflate(gen.lu.solve(deflate(x / nrm)))
+        amp = np.linalg.norm(x)
+        if not np.isfinite(amp) or amp > 1.0 / DEGENERACY_TOL:
+            return True
+    return False
 
 
 def relax(gen, rho, t, *, t_eval=None, rtol=1e-8, atol=1e-12):

@@ -37,8 +37,8 @@ def test_tracer_sees_one_lu_per_report_and_no_dense_gap(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
     assert metrics["code"] == 0
-    # one LU serves the degeneracy probe and the gap; the state derivative
-    # is exact, so no other parameter point is solved
+    # only the gap factorizes L; the uniqueness check needs no LU and the
+    # state derivative is exact, so no other parameter point is solved
     assert metrics["liouvillian.splu.calls"] == 1
     assert metrics["liouvillian.liouvillian_spectrum.dense_calls"] == 0
     # the closed form iterates 0 times, and the tracer counts every method

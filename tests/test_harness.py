@@ -156,8 +156,8 @@ class TestRunSweep:
         assert {name: os.environ.get(name) for name in _BLAS_THREAD_VARS} == user
 
     def test_one_factorization_per_row(self, monkeypatch):
-        # the steady state and d(rho)/d(omega) come from one SVD; the
-        # degeneracy probe and the gap share the row's one LU
+        # the steady state and d(rho)/d(omega) come from one SVD; only
+        # the gap factorizes L, once per row
         splu_calls, eigs_kwargs = [], []
         splu, eigs = spincrit.liouvillian.splu, scipy.sparse.linalg.eigs
 
@@ -176,6 +176,20 @@ class TestRunSweep:
         assert report["gap"] > 0 and report["qfi_steady"] > 0 and report["eprop_sz"] > 0
         assert len(splu_calls) == 1
         assert len(eigs_kwargs) == 1 and "sigma" not in eigs_kwargs[0]
+
+    def test_rows_without_gap_build_no_lu(self, monkeypatch):
+        # uniqueness is decided without L, so only the gap factorizes it
+        splu_calls, splu = [], spincrit.liouvillian.splu
+
+        def counting_splu(*args, **kwargs):
+            splu_calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spincrit.liouvillian, "splu", counting_splu)
+        spec = small_spec(n_spins=20, values=(0.35,), tasks=("signals", "meanfield"))
+        report = compute_report(ModelParams(20, 0.35, theta=PI8), spec)
+        assert "var_sz" in report and "mf_m" in report
+        assert splu_calls == []
 
     def test_row_lu_freed_before_the_next_row(self, monkeypatch):
         splu = spincrit.liouvillian.splu

@@ -29,6 +29,7 @@ from spincrit import (
     solve_steady_state,
     trace_distance,
 )
+from spincrit.liouvillian import slow_rate
 
 
 def master_rhs(params, ops, rho):
@@ -210,6 +211,31 @@ class TestSteadyState:
         steady = solve_steady_state(build_generator(ModelParams(50, 0.3, theta=math.pi / 4 - 1e-2)))
         assert steady.residual <= 1e-9
 
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("omega", [0.0, 0.4])
+    def test_quarter_angle_raises_at_both_parities(self, n, omega):
+        # every function of Sx is steady, driven or not
+        gen = build_generator(ModelParams(n, omega, theta=math.pi / 4))
+        with pytest.raises(DegenerateSteadyStateError, match=r"lambda1\(W\) = .* below DEGENERACY_TOL"):
+            solve_steady_state(gen)
+        assert len(dense_null_space(gen)) == n + 1
+
+    @pytest.mark.parametrize(
+        "n,omega,rate",
+        [(10, 0.3, 1.2944), (20, 0.3, 0.7783), (20, 1.0, 0.1509), (30, 0.3, 0.5366), (50, 0.3, 0.3254)],
+    )
+    def test_slow_rate_reproduces_measured_gaps(self, n, omega, rate):
+        # rate: the dense (N <= 20) or Arnoldi gap over eps^2 at theta = pi/4 - 1e-3
+        assert slow_rate(ModelParams(n, omega, theta=math.pi / 4)) == pytest.approx(rate, abs=1e-4)
+
+    @pytest.mark.parametrize("n", [6, 7, 20])
+    def test_slow_rate_is_the_undriven_gap_over_eps_squared(self, n):
+        # at omega = 0 the rates out of m = 0 vanish one way (even N)
+        params = ModelParams(n, 0.0, theta=math.pi / 4 - 1e-3)
+        eps = math.cos(params.theta) - math.sin(params.theta)
+        gap = np.sort(-np.linalg.eigvals(build_generator(params).matrix.toarray()).real)[1]
+        assert gap / eps**2 == pytest.approx(slow_rate(params), rel=1e-4)
+
     def test_one_closed_form_per_generator(self, monkeypatch):
         calls = []
         finalize = spincrit.liouvillian._finalize
@@ -222,7 +248,8 @@ class TestSteadyState:
         gen = build_generator(ModelParams(12, 0.3, theta=math.pi / 8))
         steady = gen.null_state
         assert "lu" not in vars(gen)
-        assert solve_steady_state(gen) is solve_steady_state(gen, seed=1) is steady
+        assert solve_steady_state(gen) is steady
+        assert "lu" not in vars(gen)
         liouvillian_spectrum(gen, k=2)
         assert calls == ["closed_form"]
 
@@ -253,6 +280,7 @@ class TestSteadyState:
     def test_steady_state_pickles_without_lu(self):
         gen = build_generator(ModelParams(10, 0.3, theta=math.pi / 8))
         steady = solve_steady_state(gen)
+        liouvillian_spectrum(gen, k=2)  # the gap factorizes L on the generator
         clone = pickle.loads(pickle.dumps(steady))
         np.testing.assert_array_equal(clone.rho, steady.rho)
         assert "lu" in vars(gen)

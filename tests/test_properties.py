@@ -5,14 +5,16 @@ Examples are derandomized, so every run draws the same points.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_null_steady, dense_state_derivative
+from oracles import degeneracy_probe, dense_null_steady, dense_state_derivative
 from spincrit import (
+    DegenerateSteadyStateError,
     ModelParams,
     build_generator,
     build_operators,
@@ -22,6 +24,8 @@ from spincrit import (
     trace_distance,
     variance,
 )
+from spincrit.liouvillian import DEGENERACY_TOL, slow_rate
+from spincrit.operators import MAX_SPINS
 
 # the kernel is degenerate only near theta = pi/4; omega in [0, 20] is
 # drawn as a drive over a rate, so the examples stay those the strategy
@@ -125,3 +129,70 @@ def test_state_derivative_matches_dense_oracle(params, lambda_name):
     exact = gen.state_derivative(lambda_name)
     oracle = dense_state_derivative(params, gen.null_state.rho, lambda_name)
     assert np.linalg.norm(exact - oracle) <= 1e-9 * max(np.linalg.norm(oracle), 1e-12)
+
+
+def _refused(params):
+    """Whether solve_steady_state refuses `params` as degenerate.
+
+    The uniqueness rule reads only gen.params, so a stand-in generator
+    lets it run at N where assembling L would dominate the test.
+    """
+    try:
+        solve_steady_state(SimpleNamespace(params=params, null_state=None))
+    except DegenerateSteadyStateError:
+        return True
+    return False
+
+
+# theta = pi/4 -+ delta, delta log-uniform in [1e-4, 0.2], so the
+# threshold (delta ~ 1e-3 for these drives) is drawn as often as the rest
+near_quarter = st.builds(
+    lambda n_spins, omega, log_delta, side: ModelParams(
+        n_spins, omega, theta=math.pi / 4 + side * 10.0**log_delta
+    ),
+    n_spins=st.integers(1, 50),
+    omega=st.floats(0.0, 3.0),
+    log_delta=st.floats(-4.0, math.log10(0.2)),
+    side=st.sampled_from([-1, 1]),
+)
+
+
+@deterministic
+@given(near_quarter)
+@example(ModelParams(50, 0.3, theta=math.pi / 4 - 1e-3))
+@example(ModelParams(50, 0.3, theta=math.pi / 4 + 1e-3))
+@example(ModelParams(6, 0.0, theta=math.pi / 4 - 3e-4))
+@example(ModelParams(7, 0.0, theta=math.pi / 4 + 3e-4))
+def test_uniqueness_rule_matches_probe_and_dense_spectrum(params):
+    eps = math.cos(params.theta) - math.sin(params.theta)
+    ratio = eps * eps * slow_rate(params) / DEGENERACY_TOL
+    refused = _refused(params)
+    # the O(N) Sturm count agrees with the eigenvalue it stands for
+    if abs(ratio - 1) > 1e-9:
+        assert refused == (ratio < 1)
+    gen = build_generator(params)
+    # the probe's threshold is soft: on a grid it flagged estimates up
+    # to 1.21 DEGENERACY_TOL, so it is compared outside a factor 1.5
+    if not 1 / 1.5 < ratio < 1.5:
+        assert degeneracy_probe(gen) == refused
+    if params.n_spins <= 12 and not 0.99 < ratio < 1.01:
+        gap = np.sort(-np.linalg.eigvals(gen.matrix.toarray()).real)[1]
+        assert (gap < DEGENERACY_TOL) == refused
+
+
+@deterministic
+@given(
+    st.integers(1, MAX_SPINS),
+    st.floats(-1e4, 1e4),
+    st.one_of(
+        st.floats(0.0, math.pi / 4 - 0.05),
+        st.floats(math.pi / 4 + 0.05, math.pi / 2, exclude_max=True),
+    ),
+)
+@example(MAX_SPINS, 1e4, math.pi / 4 - 0.05)
+@example(MAX_SPINS, -1e4, math.pi / 4 + 0.05)
+@example(MAX_SPINS, 0.0, 0.0)
+@example(MAX_SPINS - 1, 0.0, 1.57)
+def test_uniqueness_rule_never_refuses_away_from_a_quarter(n_spins, omega, theta):
+    # there the slowest rate is 1/N at large drives, so eps^2/N >= 2.5e-6
+    assert not _refused(ModelParams(n_spins, omega, theta=theta))

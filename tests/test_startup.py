@@ -3,7 +3,9 @@
 scipy is imported only by the code that assembles, factorizes or
 diagonalizes the Liouvillian, so importing the CLI, and the meanfield
 command, load no scipy module at all; that was about half the start-up
-time of every spincrit process. A full steady report, the gap included,
+time of every spincrit process. Steady rows factorize L only for the
+gap, so a sweep without it loads neither scipy.linalg nor
+scipy.sparse.linalg. A full steady report, the gap included,
 still loads neither scipy.integrate nor scipy.optimize, which would
 drag in scipy.special and scipy.spatial. Each check runs in a fresh
 process.
@@ -56,3 +58,16 @@ def test_cli_and_a_full_report_leave_scipy_integrate_unloaded():
     # the report itself ran: a header and one row with the gap filled in
     header, row = lines[:2]
     assert row.split(",")[header.split(",").index("gap")]
+
+
+def test_a_sweep_without_gap_loads_no_linear_algebra():
+    # build_generator needs scipy.sparse; nothing factorizes or diagonalizes L
+    lines, result = _run(
+        "sweep", "--n", "6", "--theta", "0.3", "--values", "0.1,0.2",
+        "--tasks", "signals,meanfield", "--no-meta",
+    )
+    assert result["code"] == 0 and result["on_import"] == []
+    assert "scipy.sparse" in result["after_run"]
+    for name in ("scipy.sparse.linalg", "scipy.linalg"):
+        assert name not in result["after_run"]
+    assert len(lines) == 3 and all(line.endswith(",") for line in lines[1:])
