@@ -137,14 +137,14 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> float:
 
 
 def variance(op: np.ndarray, rho: np.ndarray) -> float:
-    """Tr(op^2 rho) - Tr(op rho)^2, clamped at zero against round-off."""
+    """Tr(rho (op - <op>)^2), clamped at zero; centred, so near-pure states keep their digits."""
     _require_hermitian(op)
     _require_density(rho)
-    m1 = np.trace(op @ rho).real
-    m2 = np.trace(op @ op @ rho).real
-    var = m2 - m1 * m1
+    m1 = np.einsum("ij,ji->", op, rho).real
+    centred = op - m1 * np.eye(op.shape[0])
+    var = np.einsum("ij,ji->", centred @ centred, rho).real
     if var < 0:
-        if var < -1e-12 * max(1.0, abs(m2)):
+        if var < -1e-12 * max(1.0, m1 * m1):
             raise ValidationError(f"variance is negative beyond round-off: {var:.2e}")
         var = 0.0
     return float(var)

@@ -7,8 +7,10 @@ import pytest
 from spincrit import (
     ModelParams,
     ValidationError,
+    build_generator,
     build_operators,
     expectation,
+    solve_steady_state,
     spin_direction_operator,
     trace_distance,
     variance,
@@ -155,6 +157,21 @@ class TestExpectationVariance:
         rho = coherent_plus_x(2)
         assert expectation(ops.sx, rho) == pytest.approx(1.0, abs=1e-12)
         assert variance(ops.sz, rho) == pytest.approx(0.5, abs=1e-12)
+
+    def test_variance_ignores_a_shift_of_the_operator(self):
+        # a near-pure state, Var(s_z) ~ 2e-4: <op^2> - <op>^2 moved by
+        # 1.3e-10 relative when op gained 10*1
+        params = ModelParams(100, 0.0, theta=0.3927)
+        rho = solve_steady_state(build_generator(params)).rho
+        szn = np.asarray(build_operators(params).sz) / params.s
+        var = variance(szn, rho)
+        assert abs(variance(szn + 10 * np.eye(params.dimension), rho) - var) <= 1e-12 * var
+
+    def test_negative_variance_beyond_round_off_raises(self):
+        # trace 1 and Hermitian, but not positive: Var(S_z) = -0.75
+        ops = build_operators(ModelParams(1, 0.0))
+        with pytest.raises(ValidationError, match="negative beyond round-off"):
+            variance(ops.sz, np.diag([1.5, -0.5]).astype(complex))
 
     def test_rejects_non_hermitian_operator(self):
         ops = build_operators(ModelParams(2, 0.0))
