@@ -366,8 +366,8 @@ def solve_steady_state(gen: LindbladGenerator) -> SteadyState:
     the limit, so an O(N) Sturm count decides it; no LU is built.
     """
     p = gen.params
-    eps = math.cos(p.theta) - math.sin(p.theta)
-    if eps == 0.0 or _modes_below(*_slow_chain(p), DEGENERACY_TOL / eps**2) >= 2:
+    eps = math.cos(p.theta) - math.sin(p.theta)  # 1.1e-16 at math.pi/4, never 0.0
+    if _modes_below(*_slow_chain(p), DEGENERACY_TOL / eps**2) >= 2:
         rate = slow_rate(p)
         raise DegenerateSteadyStateError(
             f"estimated gap eps^2*lambda1(W) = {eps * eps * rate:.2e} is below DEGENERACY_TOL "
